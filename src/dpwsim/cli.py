@@ -72,6 +72,10 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_papr(args) -> int:
+    if args.blocks < 1:
+        raise ConfigError(f"--blocks must be at least 1, got {args.blocks}")
+    if args.oversample < 1 or args.oversample & (args.oversample - 1):
+        raise ConfigError(f"--oversample must be a power of two, got {args.oversample}")
     cfg = _load(args)
     outdir = _out_dir(args, f"papr-s{cfg.seed}")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .link_model import CP_OFDM, DFT_S_OFDM
 
 
@@ -88,6 +90,32 @@ def on_srs(state: DpwsState, cfg: DpwsConfig, gamma_db: float) -> tuple[DpwsStat
             True,
         )
     return replace(state, c=c, t=state.t + 1), False
+
+
+def on_srs_array(
+    is_df: np.ndarray,
+    c: np.ndarray,
+    t: np.ndarray,
+    gamma_db: np.ndarray,
+    heard: np.ndarray,
+    cfg: DpwsConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``on_srs`` for many terminals at one sounding, as arrays.
+
+    ``is_df`` marks the terminals on DFT-S-OFDM, ``c`` and ``t`` hold their
+    counters and ``gamma_db`` their sounding SNR. Only terminals marked in
+    ``heard`` process the reception; the others keep their state. Returns
+    the new (is_df, c, t) and the mask of terminals that switched. The
+    guard is the caller's: it starts ``cfg.guard_slots`` on a switch.
+    """
+    occasion = np.where(is_df, gamma_db > cfg.zeta_db + cfg.xi_db, gamma_db < cfg.zeta_db)
+    hit = heard & (t < cfg.window_srs) & occasion
+    c_next = c + 1
+    switched = hit & (c_next >= cfg.counter)
+    counting = hit & ~switched
+    c = np.where(counting, c_next, np.where(heard, 0, c))
+    t = np.where(counting, t + 1, np.where(heard, 0, t))
+    return is_df ^ switched, c, t, switched
 
 
 def on_slot(state: DpwsState) -> DpwsState:

@@ -4,8 +4,8 @@ SNR-to-throughput (AMC) mapping.
 
 All powers are handled in dBm internally; the thermal-noise formula is
 stated in dBW and converted once at evaluation. Operations accept numpy
-arrays wherever broadcasting makes sense, so the orchestrator can advance
-a whole cell of terminals in one call.
+arrays wherever broadcasting makes sense, so the orchestrator evaluates a
+whole block of (slot, terminal) pairs in one call.
 """
 
 from __future__ import annotations
@@ -151,20 +151,32 @@ def noise_power_dbm(nc: NoiseConfig) -> float:
     return float(n0_dbw + 30.0)
 
 
-def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """One Gauss-Markov step ``h' = rho*h + sqrt(1-rho^2)*w`` with w drawn
-    CN(0, 1) per element; preserves unit mean element power."""
+def draw_fading(shape, rng: np.random.Generator) -> np.ndarray:
+    """Fresh CN(0, 1) matrix of the given shape: the real parts are drawn
+    first, then the imaginary parts."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: int) -> np.ndarray:
+    """Trajectory of ``n_slots`` Gauss-Markov steps ``h' = rho*h +
+    sqrt(1-rho^2)*w`` with w drawn CN(0, 1) per element; preserves unit
+    mean element power. Returns an array of shape ``(n_slots,) + h.shape``
+    whose last entry is the final state.
+
+    The noise of all slots comes from one draw, laid out so that it equals
+    one ``draw_fading(h.shape, rng)`` per slot. ``rho == 1`` freezes the
+    state and draws nothing.
+    """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if rho == 1.0:
-        return h.copy()
-    w = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)) / np.sqrt(2.0)
-    return rho * h + np.sqrt(1.0 - rho * rho) * w
-
-
-def draw_fading(shape, rng: np.random.Generator) -> np.ndarray:
-    """Fresh CN(0, 1) matrix of the given shape."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return np.repeat(h[np.newaxis], n_slots, axis=0)
+    z = rng.standard_normal((n_slots, 2) + h.shape)
+    out = np.sqrt(1.0 - rho * rho) * ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    for state in out:  # each slot's noise term becomes its state, in place
+        state += rho * h
+        h = state
+    return out
 
 
 def select_precoder(h: np.ndarray, codebook: np.ndarray = PRECODER_CODEBOOK):

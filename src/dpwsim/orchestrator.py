@@ -1,6 +1,13 @@
-"""Episode runner: drops terminals, advances the cell slot by slot under
-the current switching parameters, aggregates KPIs, steps the learning agent
-and writes all run artifacts.
+"""Episode runner: drops terminals, advances the cell one step at a time
+under the current switching parameters, aggregates KPIs, steps the learning
+agent and writes all run artifacts.
+
+A step is an array program over (slot, terminal), run in blocks of slots:
+per block, the fading trajectory, the gains and the SNR budgets come from a
+fixed number of numpy calls, the switching machine makes one vector update
+per sounding for all terminals at once, and the throughput mapping and the
+KPI binning run once. The slot-by-slot loop it replaces is kept as a test
+oracle (``tests/step_reference.py``); both give identical outputs.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -34,7 +41,9 @@ from .agent import (
     train_step,
 )
 from .config import SimConfig
-from .dpws_fsm import DpwsConfig, DpwsState, on_srs
+# on_srs, the scalar form of the switching machine, stays bound here so that
+# bench/spans.py can time it by name like the other helpers
+from .dpws_fsm import DpwsState, on_srs, on_srs_array  # noqa: F401
 from .kpi import (
     CellKpiReport,
     Histogram12,
@@ -49,6 +58,9 @@ from .kpi import (
 from .link_model import (
     CP_OFDM,
     DFT_S_OFDM,
+    compute_snr,
+    draw_fading,
+    evolve_fading,
     map_throughput,
     noise_power_dbm,
     path_loss_uma,
@@ -61,30 +73,26 @@ from .link_model import (
 # substream labels under the run seed
 STREAM_TRAIN, STREAM_EVAL, STREAM_AGENT, STREAM_PAPR = 0, 1, 2, 3
 
+# slots per block of the step kernel's channel arrays; bounds its working set
+BLOCK_SLOTS = 128
+
 
 @dataclass
 class UeContext:
     """One dropped terminal: geometry, its frozen shadowing (folded into
-    the path loss), the fading draw at drop time, the power-control
-    outcome per waveform, and per-step outputs."""
+    the path loss), the fading draw at drop time, its switching state, and
+    per-step outputs."""
 
     ue_id: int
     distance_m: float
     path_loss_db: float
     fading: np.ndarray
-    tx_power_cp_dbm: float = 0.0
-    tx_power_dfts_dbm: float = 0.0
     dpws: DpwsState = field(default_factory=DpwsState)
     # filled by simulate_step
     step_throughput_bps: float = 0.0
     bearing_slots: int = 0
     guard_slots_used: int = 0
     outage_slots: int = 0
-
-    @property
-    def in_outage(self) -> bool:
-        """Whole transmission spent in outage (never carried throughput)."""
-        return self.bearing_slots == 0 and self.outage_slots > 0
 
 
 @dataclass
@@ -112,20 +120,14 @@ def drop_ues(cfg: SimConfig, rng: np.random.Generator) -> list[UeContext]:
     cell = cfg.cell
     distances = rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n)
     shadow = rng.normal(0.0, cell.shadowing_sigma_db, size=n)
-    fading = (
-        rng.standard_normal((n, cell.n_rx, 2)) + 1j * rng.standard_normal((n, cell.n_rx, 2))
-    ) / np.sqrt(2.0)
+    fading = draw_fading((n, cell.n_rx, 2), rng)
     pl = path_loss_uma(distances, cell.carrier_ghz) + shadow
-    p_cp = transmit_power(cfg.power, pl, CP_OFDM)
-    p_df = transmit_power(cfg.power, pl, DFT_S_OFDM)
     return [
         UeContext(
             ue_id=i,
             distance_m=float(distances[i]),
             path_loss_db=float(pl[i]),
             fading=fading[i].copy(),
-            tx_power_cp_dbm=float(p_cp[i]),
-            tx_power_dfts_dbm=float(p_df[i]),
         )
         for i in range(n)
     ]
@@ -147,109 +149,133 @@ def simulate_step(
 ) -> tuple[CellKpiReport, np.ndarray]:
     """Advance one step (slots_per_step slots) and aggregate its KPIs.
 
-    Fading evolves every slot for every terminal regardless of switching
-    decisions, so the channel trace for a given episode stream does not
-    depend on the policy. Returns the report and the evolved fading array;
-    per-terminal outcomes are written onto the contexts.
+    The step is an array program over (slot, terminal), run block by
+    block of ``BLOCK_SLOTS`` slots to bound its working set. Fading evolves
+    every slot for every terminal regardless of switching decisions, so the
+    channel trace, the gains and all three SNR budgets (CP-OFDM, DFT-S-OFDM
+    and the sounding SNR gamma) do not depend on the policy; each block
+    computes them first. The switching machine then runs over the block's
+    soundings, vectorised over terminals. Its states give the per-slot
+    waveform and guard masks, which select each slot's SNR for one
+    throughput mapping of the block.
+
+    Returns the report and the evolved fading array; per-terminal outcomes
+    are written onto the contexts. ``trace``, when given, receives the
+    per-slot (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
     """
     n = len(ues)
     cell, ep_cfg = cfg.cell, cfg.episode
-    n_slots, srs_period = ep_cfg.slots_per_step, ep_cfg.srs_period_slots
+    n_slots, period = ep_cfg.slots_per_step, ep_cfg.srs_period_slots
     dpws_cfg = replace(cfg.dpws, zeta_db=zeta_db, xi_db=xi_db)
-    n0 = noise_power_dbm(cell.noise())
-    bandwidth = cell.noise().bandwidth_hz
+    noise = cell.noise()
+    n0 = noise_power_dbm(noise)
     pl = np.array([ue.path_loss_db for ue in ues])
     dist = np.array([ue.distance_m for ue in ues])
     p_cp = transmit_power(cfg.power, pl, CP_OFDM)
     p_df = transmit_power(cfg.power, pl, DFT_S_OFDM)
+    ta_base = 100.0 * dist / cell.cell_range_m
 
+    # switching state; a terminal is silent while slot < guard_end, and a
+    # switch at slot s silences slots s+1..s+guard
     is_df = np.array([ue.dpws.waveform == DFT_S_OFDM for ue in ues])
-    guard = np.array([ue.dpws.guard_remaining for ue in ues], dtype=np.int64)
+    c = np.array([ue.dpws.c for ue in ues], dtype=np.int64)
+    t = np.array([ue.dpws.t for ue in ues], dtype=np.int64)
+    guard_end = np.array([ue.dpws.guard_remaining for ue in ues], dtype=np.int64)
 
-    h = fading
-    tp_slots = np.zeros((n_slots, n), dtype=float)
+    tp_slots = np.empty((n_slots, n))
     bearing = np.zeros(n, dtype=np.int64)
     outage_ct = np.zeros(n, dtype=np.int64)
     guard_ct = np.zeros(n, dtype=np.int64)
     snr_hist = Histogram12(edges=SNR_BIN_EDGES)
     ta_hist = Histogram12(edges=TA_BIN_EDGES)
     gamma_sum, gamma_n = 0.0, 0
-    rho = cell.fading_rho
-    sqrt_term = np.sqrt(max(1.0 - rho * rho, 0.0))
     if trace is not None:
-        trace["is_df"] = np.zeros((n_slots, n), dtype=bool)
-        trace["silent"] = np.zeros((n_slots, n), dtype=bool)
+        trace["is_df"] = np.empty((n_slots, n), dtype=bool)
+        trace["silent"] = np.empty((n_slots, n), dtype=bool)
         trace["tp"] = tp_slots
 
-    for slot in range(n_slots):
-        if rho < 1.0:
-            w = (
-                streams.fading.standard_normal((n, cell.n_rx, 2))
-                + 1j * streams.fading.standard_normal((n, cell.n_rx, 2))
-            ) / np.sqrt(2.0)
-            h = rho * h + sqrt_term * w
+    # slot blocks start on sounding slots
+    block = period * max(1, BLOCK_SLOTS // period)
+    h = fading
+    for b0 in range(0, n_slots, block):
+        b1 = min(b0 + block, n_slots)
+        slots = np.arange(b0, b1)
 
-        silent = guard > 0
-        guard = np.maximum(guard - 1, 0)
+        # channel and link budgets: none depends on the policy. The sounding
+        # SNR gamma uses a waveform-independent power reference (the
+        # multi-port cap), so a switch does not shift gamma by the back-off
+        # gap and thresholds compare like with like. snr_df carries the
+        # single-carrier penalty of the throughput mapping.
+        traj = evolve_fading(h, cell.fading_rho, streams.fading, b1 - b0)
+        h = traj[-1]
+        snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
+        snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0) - cell.dfts_snr_penalty_db
+        gamma = compute_snr(p_cp, pl, sounding_gain(traj), n0)[::period]
 
-        g_cp = precoded_gain(h)
-        g_df = select_tx_port(h)
-        gain = np.where(is_df, g_df, g_cp)
-        p_out = np.where(is_df, p_df, p_cp)
-        with np.errstate(divide="ignore"):
-            snr = p_out - pl + 10.0 * np.log10(gain) - n0
-        amc_snr = snr - np.where(is_df, cell.dfts_snr_penalty_db, 0.0)
-        tp, outage = map_throughput(amc_snr, cfg.mcs, bandwidth)
+        # switching machine, one vector update per sounding
+        df_states, guard_states = [is_df], [guard_end]
+        if dpws_enabled:
+            for k, slot in enumerate(slots[::period].tolist()):
+                heard = guard_end <= slot
+                is_df, c, t, switched = on_srs_array(is_df, c, t, gamma[k], heard, dpws_cfg)
+                if np.count_nonzero(switched):
+                    guard_end = np.where(switched, slot + 1 + dpws_cfg.guard_slots, guard_end)
+                    if events is not None:
+                        for i in np.flatnonzero(switched):
+                            to = DFT_S_OFDM if is_df[i] else CP_OFDM
+                            frm = CP_OFDM if is_df[i] else DFT_S_OFDM
+                            events.append((episode, ues[i].ue_id, slot_offset + slot, frm, to))
+                df_states.append(is_df)
+                guard_states.append(guard_end)
+
+        # per-slot masks: a slot runs on the state after the soundings
+        # before it; then one throughput mapping for the block
+        before = np.minimum((slots - b0 + period - 1) // period, len(df_states) - 1)
+        is_df_slots = np.stack(df_states)[before]
+        silent = slots[:, None] < np.stack(guard_states)[before]
+        np.copyto(snr, snr_df, where=is_df_slots)
+        tp, outage = map_throughput(snr, cfg.mcs, noise.bandwidth_hz)
         tp[silent] = 0.0
-        tp_slots[slot] = tp
-        bearing += (~silent) & (~outage)
-        outage_ct += (~silent) & outage
-        guard_ct += silent
+        tp_slots[b0:b1] = tp
+        bearing += (~silent & ~outage).sum(axis=0)
+        outage_ct += (~silent & outage).sum(axis=0)
+        guard_ct += silent.sum(axis=0)
         if trace is not None:
-            trace["is_df"][slot] = is_df
-            trace["silent"][slot] = silent
+            trace["is_df"][b0:b1] = is_df_slots
+            trace["silent"][b0:b1] = silent
 
-        if slot % srs_period == 0:
-            active = ~silent
-            if np.any(active):
-                # sounding SNR on a waveform-independent power reference
-                # (the multi-port cap), so a switch does not shift gamma by
-                # the back-off gap and thresholds compare like with like
-                with np.errstate(divide="ignore"):
-                    gamma = p_cp - pl + 10.0 * np.log10(sounding_gain(h)) - n0
-                ta = 100.0 * dist / cell.cell_range_m
-                if cell.ta_jitter_pct > 0.0:
-                    ta = ta + streams.ta.uniform(-cell.ta_jitter_pct, cell.ta_jitter_pct, n)
-                ta = np.maximum(ta, 0.0)
-                snr_hist = bin_snr(snr_hist, gamma[active])
-                ta_hist = bin_ta(ta_hist, ta[active])
-                gamma_sum += float(gamma[active].sum())
-                gamma_n += int(active.sum())
-                if dpws_enabled:
-                    for i in np.nonzero(active)[0]:
-                        st = ues[i].dpws
-                        if st.guard_remaining != 0:
-                            st = replace(st, guard_remaining=0)
-                        st, switched = on_srs(st, dpws_cfg, float(gamma[i]))
-                        ues[i].dpws = st
-                        if switched:
-                            guard[i] = st.guard_remaining
-                            was_df = is_df[i]
-                            is_df[i] = st.waveform == DFT_S_OFDM
-                            if events is not None:
-                                events.append(
-                                    (
-                                        episode,
-                                        ues[i].ue_id,
-                                        slot_offset + slot,
-                                        DFT_S_OFDM if was_df else CP_OFDM,
-                                        st.waveform,
-                                    )
-                                )
+        # sounding statistics over the heard terminals of the soundings that
+        # hear anyone; only those draw timing-advance jitter. gamma is summed
+        # per sounding over its heard terminals (a row sum when all are
+        # heard), then over soundings in slot order.
+        heard = ~silent[::period]
+        sounded = heard.any(axis=1)
+        gamma, heard = gamma[sounded], heard[sounded]
+        sums = gamma.sum(axis=1)
+        for k in np.flatnonzero(~heard.all(axis=1)):
+            sums[k] = gamma[k, heard[k]].sum()
+        for total in sums.tolist():
+            gamma_sum += total
+        gamma_n += int(heard.sum())
+        ta = ta_base
+        if cell.ta_jitter_pct > 0.0:
+            ta = ta + streams.ta.uniform(-cell.ta_jitter_pct, cell.ta_jitter_pct, heard.shape)
+        ta = np.broadcast_to(np.maximum(ta, 0.0), heard.shape)
+        snr_hist = bin_snr(snr_hist, gamma[heard])
+        ta_hist = bin_ta(ta_hist, ta[heard])
 
+    # a contiguous row per terminal: its mean sums in the same order as a
+    # mean over the terminal's column would
+    ue_tp = np.ascontiguousarray(tp_slots.T).mean(axis=1)
+    guard_left = np.maximum(guard_end - n_slots, 0)
     for i, ue in enumerate(ues):
-        ue.dpws = replace(ue.dpws, guard_remaining=int(guard[i]))
-        ue.step_throughput_bps = float(tp_slots[:, i].mean())
+        ue.dpws = DpwsState(
+            waveform=DFT_S_OFDM if is_df[i] else CP_OFDM,
+            c=int(c[i]),
+            t=int(t[i]),
+            guard_remaining=int(guard_left[i]),
+        )
+        ue.step_throughput_bps = float(ue_tp[i])
         ue.bearing_slots = int(bearing[i])
         ue.outage_slots = int(outage_ct[i])
         ue.guard_slots_used = int(guard_ct[i])
@@ -262,7 +288,7 @@ def simulate_step(
     report = CellKpiReport(
         snr_hist=snr_hist, ta_hist=ta_hist, throughput=stats, mean_gamma_db=mean_gamma
     )
-    return report, h
+    return report, h.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ class TestCliCommands:
         for mod in ("qpsk", "16qam"):
             assert val[("dft-s-ofdm", mod, "99.9")] < val[("cp-ofdm", mod, "99.9")]
 
+    @pytest.mark.parametrize(
+        "flags", [["--blocks", "0"], ["--blocks", "-4"], ["--oversample", "0"], ["--oversample", "3"]]
+    )
+    def test_papr_usage_errors_exit_2_before_any_work(self, tmp_path, capsys, flags):
+        out = tmp_path / "p"
+        assert main(["papr", "--blocks", "8", "--out", str(out)] + flags) == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_papr_oversampled(self, tmp_path):
+        assert main(["papr", "--blocks", "8", "--oversample", "2", "--out", str(tmp_path)]) == EXIT_OK
+
     def test_train_eval_compare_pipeline(self, tmp_path):
         ini = tiny_ini(tmp_path)
         train_dir = tmp_path / "t"

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpwsim.dpws_fsm import DpwsConfig, DpwsState, is_occasion, on_slot, on_srs
+from dpwsim.dpws_fsm import DpwsConfig, DpwsState, is_occasion, on_slot, on_srs, on_srs_array
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 
 from dpws_reference import reference_run
@@ -66,6 +68,19 @@ class TestGuardCountdown:
         assert on_slot(DpwsState(guard_remaining=0)).guard_remaining == 0
 
 
+def drive_array(initial_waveform, gammas, cfg):
+    """``drive`` through the array form, one terminal wide."""
+    is_df = np.array([initial_waveform == DFT_S_OFDM])
+    c = t = np.zeros(1, dtype=np.int64)
+    heard = np.ones(1, dtype=bool)
+    switches = []
+    for k, gamma in enumerate(gammas):
+        is_df, c, t, switched = on_srs_array(is_df, c, t, np.array([gamma]), heard, cfg)
+        if switched[0]:
+            switches.append((k, DFT_S_OFDM if is_df[0] else CP_OFDM))
+    return switches
+
+
 class TestReferenceEquivalence:
     def test_random_traces(self):
         rng = np.random.default_rng(99)
@@ -81,9 +96,50 @@ class TestReferenceEquivalence:
             )
             start = CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM
             gammas = rng.uniform(-6.0, 10.0, size=15).tolist()
-            assert drive(start, gammas, cfg) == reference_run(
-                start, gammas, cfg.zeta_db, cfg.xi_db, counter, window
+            want = reference_run(start, gammas, cfg.zeta_db, cfg.xi_db, counter, window)
+            assert drive(start, gammas, cfg) == want
+            assert drive_array(start, gammas, cfg) == want
+
+    def test_array_form_matches_scalar_states(self):
+        # many terminals at once, some not heard, from arbitrary counter and
+        # timer values, including timers already at the window
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            counter = int(rng.integers(1, 6))
+            window = int(rng.integers(counter, 7))
+            cfg = DpwsConfig(
+                zeta_db=float(rng.uniform(-3, 3)),
+                xi_db=float(rng.uniform(0, 4)),
+                counter=counter,
+                window_srs=window,
+                guard_slots=int(rng.integers(0, 30)),
             )
+            n = 12
+            states = [
+                DpwsState(
+                    waveform=CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM,
+                    c=int(rng.integers(0, counter)),
+                    t=int(rng.integers(0, window + 2)),
+                )
+                for _ in range(n)
+            ]
+            gamma = rng.uniform(-6.0, 10.0, size=n)
+            heard = rng.random(n) < 0.8
+            is_df, c, t, switched = on_srs_array(
+                np.array([s.waveform == DFT_S_OFDM for s in states]),
+                np.array([s.c for s in states]),
+                np.array([s.t for s in states]),
+                gamma,
+                heard,
+                cfg,
+            )
+            for i, state in enumerate(states):
+                want, want_switch = (
+                    on_srs(state, cfg, float(gamma[i])) if heard[i] else (state, False)
+                )
+                got = DpwsState(DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(t[i]), 0)
+                assert got == replace(want, guard_remaining=0)
+                assert switched[i] == want_switch
 
 
 class TestInvariants:

@@ -99,26 +99,37 @@ class TestNoise:
 class TestFading:
     def test_rho_one_freezes_state(self, rng):
         h = draw_fading((4, 1, 2), rng)
-        np.testing.assert_array_equal(evolve_fading(h, 1.0, rng), h)
+        before = rng.bit_generator.state
+        traj = evolve_fading(h, 1.0, rng, 3)
+        assert traj.shape == (3, 4, 1, 2)
+        for state in traj:
+            np.testing.assert_array_equal(state, h)
+        assert rng.bit_generator.state == before  # draws nothing
 
     def test_rho_zero_is_fresh_draw(self, rng):
         h = draw_fading((1, 2), rng)
-        h2 = evolve_fading(h, 0.0, np.random.default_rng(5))
+        h2 = evolve_fading(h, 0.0, np.random.default_rng(5), 1)[-1]
         h3 = draw_fading((1, 2), np.random.default_rng(5))
         np.testing.assert_allclose(h2, h3)
 
+    def test_trajectory_equals_one_draw_per_slot(self, rng):
+        h = draw_fading((6, 2, 2), rng)
+        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 5)
+        slot_rng = np.random.default_rng(9)
+        for state in traj:
+            h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading(h.shape, slot_rng)
+            np.testing.assert_array_equal(state, h)
+
     def test_unit_power_preserved(self, rng):
         h = draw_fading((1000, 1, 2), rng)
-        acc = 0.0
         n_steps = 50  # 50 x 1000 elements = 5e4+ evolutions
-        for _ in range(n_steps):
-            h = evolve_fading(h, 0.9, rng)
-            acc += np.mean(np.abs(h) ** 2)
+        traj = evolve_fading(h, 0.9, rng, n_steps)
+        acc = sum(np.mean(np.abs(state) ** 2) for state in traj)
         assert abs(acc / n_steps - 1.0) < 0.02
 
     def test_bad_rho_rejected(self, rng):
         with pytest.raises(ValueError):
-            evolve_fading(draw_fading((1, 2), rng), 1.5, rng)
+            evolve_fading(draw_fading((1, 2), rng), 1.5, rng, 1)
 
 
 class TestPrecoderSelection:
