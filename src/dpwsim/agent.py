@@ -17,7 +17,7 @@ rather than the last minibatch iterate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,6 +237,9 @@ class QNetwork:
 
     @classmethod
     def load(cls, path, cfg: AgentConfig | None = None) -> "QNetwork":
+        """Read a checkpoint written by :meth:`save`. The network gets a copy
+        of ``cfg`` with the hidden width of the file; ``cfg`` is left as it
+        is. Non-finite weights are refused."""
         with open(path) as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
@@ -247,9 +250,7 @@ class QNetwork:
         in_dim, hidden, out_dim = map(int, dims)
         if (in_dim, out_dim) != (STATE_DIM, N_ACTIONS):
             raise ValueError(f"{path}: unsupported layer shape {dims}")
-        cfg = cfg or AgentConfig()
-        cfg.hidden = hidden
-        net = cls(np.random.default_rng(0), cfg)
+        net = cls(np.random.default_rng(0), replace(cfg or AgentConfig(), hidden=hidden))
         shapes = [(in_dim, hidden), (hidden,), (hidden, out_dim), (out_dim,)]
         params = {}
         for line in lines[2:]:
@@ -258,6 +259,8 @@ class QNetwork:
         for name, shape, target in zip(("w1", "b1", "w2", "b2"), shapes, net.parameters()):
             if name not in params or params[name].size != int(np.prod(shape)):
                 raise ValueError(f"{path}: missing or misshapen array {name!r}")
+            if not np.all(np.isfinite(params[name])):
+                raise ValueError(f"{path}: non-finite values in array {name!r}")
             target[...] = params[name].reshape(shape)
         return net
 

@@ -87,11 +87,15 @@ def cmd_papr(args) -> int:
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_PAPR]))
             )
-            sig = papr_ensemble_signal(
-                waveform, modulation, args.blocks, rng, oversample=args.oversample
+            # no name holds the signal, so it is freed before the next is built
+            paprs = measure_papr(
+                papr_ensemble_signal(
+                    waveform, modulation, args.blocks, rng, oversample=args.oversample
+                ),
+                PAPR_PERCENTILES,
             )
-            for pct in PAPR_PERCENTILES:
-                rows.append((waveform, modulation, pct * 100.0, measure_papr(sig, pct)))
+            for pct, papr in zip(PAPR_PERCENTILES, paprs):
+                rows.append((waveform, modulation, pct * 100.0, papr))
     with open(path, "w", newline="") as fh:
         fh.write("waveform,modulation,percentile,papr_db\n")
         for waveform, modulation, pct, papr in rows:

@@ -29,6 +29,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .link_model import McsTable, NoiseConfig, PowerControlConfig
 from .dpws_fsm import DpwsConfig
+from .kpi import MIN_PERCENTILE_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -166,6 +167,42 @@ def _parse_mcs(text: str) -> tuple:
     return tuple(entries)
 
 
+# INI keys set through _apply, by section; each section sets the SimConfig
+# field of its own name
+_FIELDS = {
+    "cell": {
+        "carrier_ghz": float, "scs_khz": float, "n_rb": int, "n_rx": int,
+        "min_distance_m": float, "max_distance_m": float,
+        "cell_range_m": float, "noise_figure_db": float,
+        "shadowing_sigma_db": float, "fading_rho": float,
+        "ta_jitter_pct": float, "dfts_snr_penalty_db": float,
+    },
+    "power": {"p0_dbm": float, "alpha": float, "p_max_dbm": float},
+    "dpws": {
+        "zeta_db": float, "xi_db": float, "counter": int,
+        "window_srs": int, "guard_slots": int,
+    },
+    "agent": {
+        "hidden": int, "learning_rate": float, "discount": float,
+        "buffer_size": int, "batch_size": int, "epsilon_start": float,
+        "epsilon_min": float, "theta": float, "reward_clip": float,
+        "zeta_min_db": float, "zeta_max_db": float, "xi_max_db": float,
+    },
+    "episode": {
+        "ues_per_episode": int, "slots_per_step": int,
+        "srs_period_slots": int, "train_episodes": int,
+        "train_steps": int, "eval_episodes": int, "eval_steps": int,
+    },
+}
+# INI keys parsed by load_config itself; [power] dfts_snr_penalty_db is the
+# older home of the [cell] key
+_OTHER_KEYS = {
+    "run": {"profile", "seed"},
+    "power": {"mpr_db", "dfts_snr_penalty_db"},
+    "mcs": {"table"},
+}
+
+
 def _apply(section, obj, fields: dict) -> None:
     for key, conv in fields.items():
         if key in section:
@@ -173,6 +210,40 @@ def _apply(section, obj, fields: dict) -> None:
                 setattr(obj, key, conv(section[key]))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
+
+
+def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
+    """Refuse sections and keys that nothing reads, such as misspellings."""
+    for name in parser.sections():
+        known = set(_FIELDS.get(name, ())) | _OTHER_KEYS.get(name, set())
+        if not known:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key in parser[name]:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown key {key!r} in section [{name}]")
+
+
+def _check_ranges(cfg: SimConfig) -> None:
+    """Cross-field and range rules that the dataclasses do not check."""
+    cell, agent = cfg.cell, cfg.agent
+    if not 0.0 <= cell.fading_rho <= 1.0:
+        raise ConfigError(f"fading_rho must be in [0, 1], got {cell.fading_rho}")
+    if cell.min_distance_m > cell.max_distance_m:
+        raise ConfigError(
+            f"min_distance_m {cell.min_distance_m} exceeds max_distance_m {cell.max_distance_m}"
+        )
+    if not cell.ta_jitter_pct >= 0.0:
+        raise ConfigError(f"ta_jitter_pct must not be negative, got {cell.ta_jitter_pct}")
+    if agent.batch_size > agent.buffer_size:
+        raise ConfigError(
+            f"batch_size {agent.batch_size} exceeds buffer_size {agent.buffer_size}:"
+            " the agent would never train"
+        )
+    if cfg.episode.ues_per_episode < MIN_PERCENTILE_SAMPLES:
+        raise ConfigError(
+            f"ues_per_episode must be at least {MIN_PERCENTILE_SAMPLES} for the"
+            f" throughput percentiles, got {cfg.episode.ues_per_episode}"
+        )
 
 
 def apply_profile(cfg: SimConfig, name: str) -> SimConfig:
@@ -211,46 +282,22 @@ def load_config(path: str | Path | None = None, profile: str | None = None,
     apply_profile(cfg, profile or file_profile or cfg.profile)
 
     if parser is not None:
+        _check_names(parser, path)
         if parser.has_section("run"):
             _apply(parser["run"], cfg, {"seed": int})
-        if parser.has_section("cell"):
-            _apply(parser["cell"], cfg.cell, {
-                "carrier_ghz": float, "scs_khz": float, "n_rb": int, "n_rx": int,
-                "min_distance_m": float, "max_distance_m": float,
-                "cell_range_m": float, "noise_figure_db": float,
-                "shadowing_sigma_db": float, "fading_rho": float,
-                "ta_jitter_pct": float, "dfts_snr_penalty_db": float,
-            })
+        for name, fields in _FIELDS.items():
+            if parser.has_section(name):
+                _apply(parser[name], getattr(cfg, name), fields)
         if parser.has_section("power"):
             sec = parser["power"]
-            _apply(sec, cfg.power, {"p0_dbm": float, "alpha": float, "p_max_dbm": float})
             if "mpr_db" in sec:
                 cfg.power.mpr_db = _parse_mpr(sec["mpr_db"])
-            if "dfts_snr_penalty_db" in sec:
-                cfg.cell.dfts_snr_penalty_db = float(sec["dfts_snr_penalty_db"])
+            _apply(sec, cfg.cell, {"dfts_snr_penalty_db": float})
         if parser.has_section("mcs") and "table" in parser["mcs"]:
             try:
                 cfg.mcs = McsTable(entries=_parse_mcs(parser["mcs"]["table"]))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if parser.has_section("dpws"):
-            _apply(parser["dpws"], cfg.dpws, {
-                "zeta_db": float, "xi_db": float, "counter": int,
-                "window_srs": int, "guard_slots": int,
-            })
-        if parser.has_section("agent"):
-            _apply(parser["agent"], cfg.agent, {
-                "hidden": int, "learning_rate": float, "discount": float,
-                "buffer_size": int, "batch_size": int, "epsilon_start": float,
-                "epsilon_min": float, "theta": float, "reward_clip": float,
-                "zeta_min_db": float, "zeta_max_db": float, "xi_max_db": float,
-            })
-        if parser.has_section("episode"):
-            _apply(parser["episode"], cfg.episode, {
-                "ues_per_episode": int, "slots_per_step": int,
-                "srs_period_slots": int, "train_episodes": int,
-                "train_steps": int, "eval_episodes": int, "eval_steps": int,
-            })
 
     if seed is not None:
         cfg.seed = seed
@@ -265,4 +312,5 @@ def load_config(path: str | Path | None = None, profile: str | None = None,
         McsTable(cfg.mcs.entries)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_ranges(cfg)
     return cfg

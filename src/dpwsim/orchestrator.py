@@ -541,7 +541,7 @@ def run_evaluation(
     ckpt = Path(checkpoint)
     if not ckpt.is_file():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    qnet = QNetwork.load(ckpt, replace(cfg.agent))
+    qnet = QNetwork.load(ckpt, cfg.agent)
     return _run_policy(cfg, outdir, "evaluate", qnet.parameters(), None, jobs)
 
 

@@ -375,3 +375,24 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             QNetwork.load(path)
+
+    def test_load_leaves_the_given_config_alone(self, rng, tmp_path):
+        path = tmp_path / "net.txt"
+        QNetwork(rng, AgentConfig(hidden=12)).save(path)
+        cfg = AgentConfig(learning_rate=0.02)
+        net = QNetwork.load(path, cfg)
+        assert cfg == AgentConfig(learning_rate=0.02)
+        assert net.cfg == AgentConfig(learning_rate=0.02, hidden=12)
+        assert net.w1.shape == (8, 12)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [2, 5])
+    def test_non_finite_weights_rejected(self, rng, tmp_path, bad, row):
+        path = tmp_path / "net.txt"
+        QNetwork(rng).save(path)
+        lines = path.read_text().splitlines()
+        name, first, *rest = lines[row].split()
+        lines[row] = " ".join([name, bad, *rest])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            QNetwork.load(path)

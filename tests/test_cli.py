@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,65 @@ class TestConfig:
             path.write_text(body)
             with pytest.raises(ConfigError):
                 load_config(path)
+
+    @pytest.mark.parametrize(
+        "body, name",
+        [
+            ("[cell]\nfading_rho = 1.5\n", "fading_rho"),
+            ("[cell]\nfading_rho = -0.1\n", "fading_rho"),
+            ("[cell]\nmin_distance_m = 400\nmax_distance_m = 300\n", "min_distance_m"),
+            ("[cell]\nta_jitter_pct = -1.0\n", "ta_jitter_pct"),
+            ("[agent]\nbuffer_size = 64\nbatch_size = 65\n", "batch_size"),
+            ("[episode]\nues_per_episode = 5\n", "ues_per_episode"),
+        ],
+    )
+    def test_out_of_range_values_exit_2_before_any_work(self, tmp_path, capsys, body, name):
+        path = tmp_path / "bad.ini"
+        path.write_text("[run]\nprofile = ci\n" + body)
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, words",
+        [
+            ("[dpws]\ncountr = 3\n", ("[dpws]", "countr")),
+            ("[power]\np0 = -60\n", ("[power]", "p0")),
+            ("[epsiode]\ntrain_steps = 3\n", ("[epsiode]",)),
+        ],
+    )
+    def test_unknown_sections_and_keys_exit_2(self, tmp_path, capsys, body, words):
+        path = tmp_path / "typo.ini"
+        path.write_text("[run]\nprofile = ci\n" + body)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(word in err for word in words)
+        assert not out.exists()
+
+    def test_power_penalty_alias_still_accepted(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[power]\ndfts_snr_penalty_db = 1.1\n")
+        assert load_config(path).cell.dfts_snr_penalty_db == 1.1
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profiles_load(self, profile):
+        assert load_config(None, profile=profile).profile == profile
+
+    def test_shipped_and_benchmark_configs_load(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        for path in sorted((root / "configs").glob("*.ini")):
+            load_config(path)
+        spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        for workload in inputs.WORKLOADS:
+            path = tmp_path / f"{workload}.ini"
+            path.write_text(inputs.ini_text(workload, 1))
+            load_config(path)
 
     def test_describe_is_json_friendly(self):
         import json
