@@ -242,7 +242,7 @@ class QNetwork:
         is. Non-finite weights are refused."""
         with open(path) as fh:
             lines = fh.read().splitlines()
-        if not lines or lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
+        if len(lines) < 2 or lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
             raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint")
         tag, *dims = lines[1].split()
         if tag != "shape" or len(dims) != 3:

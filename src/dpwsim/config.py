@@ -23,6 +23,7 @@ See README.md for the full key list.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -226,6 +227,17 @@ def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
 def _check_ranges(cfg: SimConfig) -> None:
     """Cross-field and range rules that the dataclasses do not check."""
     cell, agent = cfg.cell, cfg.agent
+    for name, fields in _FIELDS.items():
+        for key, conv in fields.items():
+            value = getattr(getattr(cfg, name), key)
+            if conv is float and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+    if cell.min_distance_m <= 0.0:
+        raise ConfigError(f"min_distance_m must be positive, got {cell.min_distance_m}")
+    if cell.shadowing_sigma_db < 0.0:
+        raise ConfigError(
+            f"shadowing_sigma_db must not be negative, got {cell.shadowing_sigma_db}"
+        )
     if not 0.0 <= cell.fading_rho <= 1.0:
         raise ConfigError(f"fading_rho must be in [0, 1], got {cell.fading_rho}")
     if cell.min_distance_m > cell.max_distance_m:

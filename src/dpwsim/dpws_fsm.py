@@ -20,6 +20,13 @@ Two behaviors worth calling out:
   (rejected) configuration ``T < C``. Keeping the timer this way preserves
   a useful property: raising the threshold never delays the first switch
   out of the multi-port waveform.
+
+``on_srs`` steps one terminal through one reception. The simulator runs
+``on_srs_block``, which takes all terminals through all soundings of a slot
+block at once and works once per switch rather than once per sounding.
+It relies on the second point above: with ``t == c`` the window never
+binds, so a terminal's counter at any sounding is just the length of its
+current run of occasions.
 """
 
 from __future__ import annotations
@@ -92,35 +99,67 @@ def on_srs(state: DpwsState, cfg: DpwsConfig, gamma_db: float) -> tuple[DpwsStat
     return replace(state, c=c, t=state.t + 1), False
 
 
-def on_srs_array(
+def on_srs_block(
     is_df: np.ndarray,
     c: np.ndarray,
     t: np.ndarray,
+    guard_end: np.ndarray,
     gamma_db: np.ndarray,
-    heard: np.ndarray,
+    sounding_slots: np.ndarray,
     cfg: DpwsConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``on_srs`` for many terminals at one sounding, as arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``on_srs`` over a block of soundings for many terminals at once.
 
-    ``is_df`` marks the terminals on DFT-S-OFDM, ``c`` and ``t`` hold their
-    counters and ``gamma_db`` their sounding SNR. Only terminals marked in
-    ``heard`` process the reception; the others keep their state. Returns
-    the new (is_df, c, t) and the mask of terminals that switched. The
-    guard is the caller's: it starts ``cfg.guard_slots`` on a switch.
+    ``gamma_db`` holds the sounding SNR as (sounding, terminal), and
+    ``sounding_slots`` the increasing slots of its rows. ``is_df`` marks the
+    terminals on DFT-S-OFDM and ``c`` and ``t`` hold their counters. A
+    terminal hears the soundings at or after its ``guard_end`` slot; a
+    switch at slot s sets ``guard_end`` to s + 1 + ``cfg.guard_slots``.
+
+    The block is processed once per switch, not once per sounding: from a
+    terminal's first heard sounding, its run of consecutive occasions is
+    the distance to the last sounding that broke the run, plus the carried
+    ``c`` while none has. The first sounding where the run reaches the
+    counter is the switch; the terminal then starts over from the first
+    sounding after its new guard, on the other waveform with ``c = 0``.
+
+    The timer equals the counter (see the module docstring), so the window
+    never binds; ``t != c`` raises ``ValueError``. Returns the new
+    (is_df, c, t, guard_end) and the switches as (sounding index, terminal
+    index) arrays, sorted by sounding and then terminal.
     """
-    occasion = np.where(is_df, gamma_db > cfg.zeta_db + cfg.xi_db, gamma_db < cfg.zeta_db)
-    hit = heard & (t < cfg.window_srs) & occasion
-    c_next = c + 1
-    switched = hit & (c_next >= cfg.counter)
-    counting = hit & ~switched
-    c = np.where(counting, c_next, np.where(heard, 0, c))
-    t = np.where(counting, t + 1, np.where(heard, 0, t))
-    return is_df ^ switched, c, t, switched
-
-
-def on_slot(state: DpwsState) -> DpwsState:
-    """Per-slot bookkeeping: count the reconfiguration guard down to zero.
-    The caller zeroes the slot's throughput while the guard is running."""
-    if state.guard_remaining <= 0:
-        return state
-    return replace(state, guard_remaining=state.guard_remaining - 1)
+    c = np.array(c, dtype=np.int64)
+    if not np.array_equal(c, t):
+        raise ValueError("the timer must equal the occasion counter")
+    is_df, guard_end = is_df.copy(), np.array(guard_end, dtype=np.int64)
+    n_snd = len(sounding_slots)
+    below = gamma_db < cfg.zeta_db
+    above = gamma_db > cfg.zeta_db + cfg.xi_db
+    rows = np.arange(n_snd)[:, None]
+    first = np.searchsorted(sounding_slots, guard_end)
+    todo = np.flatnonzero(first < n_snd)
+    sw_snd, sw_ue = [], []
+    while todo.size:
+        k0 = first[todo]
+        occasion = np.where(is_df[todo], above[:, todo], below[:, todo])
+        heard = rows >= k0
+        # the last sounding at or before each row that broke the run: a
+        # miss, or a sounding not heard
+        broke = np.maximum.accumulate(np.where(occasion & heard, -1, rows), axis=0)
+        run = rows - broke + np.where(broke < k0, c[todo], 0)
+        hit = heard & (run >= cfg.counter)
+        switched = hit.any(axis=0)
+        stay = ~switched
+        c[todo[stay]] = run[-1, stay]
+        todo, k = todo[switched], hit.argmax(axis=0)[switched]
+        sw_snd.append(k)
+        sw_ue.append(todo)
+        is_df[todo] = ~is_df[todo]
+        c[todo] = 0
+        guard_end[todo] = sounding_slots[k] + 1 + cfg.guard_slots
+        first[todo] = np.searchsorted(sounding_slots, guard_end[todo])
+        todo = todo[first[todo] < n_snd]
+    sw_snd = np.concatenate(sw_snd) if sw_snd else np.zeros(0, dtype=np.int64)
+    sw_ue = np.concatenate(sw_ue) if sw_ue else np.zeros(0, dtype=np.int64)
+    order = np.lexsort((sw_ue, sw_snd))
+    return is_df, c, c.copy(), guard_end, sw_snd[order], sw_ue[order]

@@ -56,11 +56,6 @@ class Histogram12:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "Histogram12") -> "Histogram12":
-        if self.edges != other.edges:
-            raise ValueError("cannot merge histograms with different edges")
-        return Histogram12(edges=self.edges, counts=self.counts + other.counts)
-
 
 def _bin_counts(edges, values: np.ndarray) -> np.ndarray:
     # rightmost bin whose half-open interval [edge_i, edge_{i+1}) holds the
@@ -160,16 +155,23 @@ class CellKpiReport:
 
 
 def timing_advance_percent(
-    distance_m: float,
+    distance_m,
     cell_range_m: float = 300.0,
     jitter_pct: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> float:
+    size: tuple | None = None,
+):
     """Distance as % of the cell range, optionally with zero-mean uniform
-    jitter of +-jitter_pct emulating delay-spread overshoot. Clamped at 0."""
-    ta = 100.0 * distance_m / cell_range_m
+    jitter of +-jitter_pct emulating delay-spread overshoot. Clamped at 0.
+
+    A float for a scalar distance. With ``size`` the result is an array of
+    that shape, the distances broadcast along its last axis, and its jitter
+    comes from one draw of that shape.
+    """
+    ta = 100.0 * np.asarray(distance_m, dtype=float) / cell_range_m
     if jitter_pct > 0.0:
         if rng is None:
             raise ValueError("jitter requires an rng")
-        ta += rng.uniform(-jitter_pct, jitter_pct)
-    return max(ta, 0.0)
+        ta = ta + rng.uniform(-jitter_pct, jitter_pct, size)
+    ta = np.broadcast_to(np.maximum(ta, 0.0), np.shape(ta) if size is None else size)
+    return float(ta) if ta.ndim == 0 else ta

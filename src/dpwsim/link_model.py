@@ -179,26 +179,6 @@ def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: 
     return out
 
 
-def select_precoder(h: np.ndarray, codebook: np.ndarray = PRECODER_CODEBOOK):
-    """Pick the codebook column maximizing the received power sum
-    ``sum_i |(h W)_i|^2``; ties go to the lowest index.
-
-    ``h`` is (n_rx, n_tx) or a batch (..., n_rx, n_tx) with n_tx matching
-    the codebook. Returns (index, column) for a single matrix, or an index
-    array for a batch.
-    """
-    h = np.asarray(h)
-    if h.ndim < 2 or h.shape[-1] != codebook.shape[0]:
-        raise ValueError(
-            f"need {codebook.shape[0]}-port fading, got trailing dim {h.shape[-1]}"
-        )
-    gains = np.sum(np.abs(h @ codebook) ** 2, axis=-2)
-    idx = np.argmax(gains, axis=-1)
-    if h.ndim == 2:
-        return int(idx), codebook[:, int(idx)]
-    return idx
-
-
 def precoded_gain(h: np.ndarray, codebook: np.ndarray = PRECODER_CODEBOOK) -> np.ndarray:
     """Best-codebook received power sum for a batch of (n_rx, n_tx) matrices."""
     gains = np.sum(np.abs(np.asarray(h) @ codebook) ** 2, axis=-2)

@@ -4,9 +4,10 @@ agent and writes all run artifacts.
 
 A step is an array program over (slot, terminal), run in blocks of slots:
 per block, the fading trajectory, the gains and the SNR budgets come from a
-fixed number of numpy calls, the switching machine makes one vector update
-per sounding for all terminals at once, and the throughput mapping and the
-KPI binning run once. The slot-by-slot loop it replaces is kept as a test
+fixed number of numpy calls, the switching machine runs over all of the
+block's soundings at once with one pass per switch
+(``dpws_fsm.on_srs_block``), and the throughput mapping and the KPI
+binning run once. The slot-by-slot loop it replaces is kept as a test
 oracle (``tests/step_reference.py``); both give identical outputs.
 
 Randomness is organized as named substreams of the run seed so that
@@ -40,10 +41,10 @@ from .agent import (
     select_action,
     train_step,
 )
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 # on_srs, the scalar form of the switching machine, stays bound here so that
 # bench/spans.py can time it by name like the other helpers
-from .dpws_fsm import DpwsState, on_srs, on_srs_array  # noqa: F401
+from .dpws_fsm import DpwsState, on_srs, on_srs_block  # noqa: F401
 from .kpi import (
     CellKpiReport,
     Histogram12,
@@ -54,6 +55,7 @@ from .kpi import (
     bin_snr,
     bin_ta,
     throughput_percentiles,
+    timing_advance_percent,
 )
 from .link_model import (
     CP_OFDM,
@@ -152,12 +154,13 @@ def simulate_step(
     The step is an array program over (slot, terminal), run block by
     block of ``BLOCK_SLOTS`` slots to bound its working set. Fading evolves
     every slot for every terminal regardless of switching decisions, so the
-    channel trace, the gains and all three SNR budgets (CP-OFDM, DFT-S-OFDM
-    and the sounding SNR gamma) do not depend on the policy; each block
-    computes them first. The switching machine then runs over the block's
-    soundings, vectorised over terminals. Its states give the per-slot
-    waveform and guard masks, which select each slot's SNR for one
-    throughput mapping of the block.
+    channel trace and the sounding SNR gamma do not depend on the policy;
+    each block computes them first. The switching machine then runs over
+    the block's soundings for all terminals at once, and its switches give
+    the per-slot waveform and guard masks. Last come the SNR budgets, each
+    only if some slot of the block is on its waveform (a fixed-waveform
+    baseline never computes the other one), and one throughput mapping of
+    the block.
 
     Returns the report and the evolved fading array; per-terminal outcomes
     are written onto the contexts. ``trace``, when given, receives the
@@ -173,7 +176,6 @@ def simulate_step(
     dist = np.array([ue.distance_m for ue in ues])
     p_cp = transmit_power(cfg.power, pl, CP_OFDM)
     p_df = transmit_power(cfg.power, pl, DFT_S_OFDM)
-    ta_base = 100.0 * dist / cell.cell_range_m
 
     # switching state; a terminal is silent while slot < guard_end, and a
     # switch at slot s silences slots s+1..s+guard
@@ -200,40 +202,57 @@ def simulate_step(
     for b0 in range(0, n_slots, block):
         b1 = min(b0 + block, n_slots)
         slots = np.arange(b0, b1)
+        sounding_slots = slots[::period]
 
-        # channel and link budgets: none depends on the policy. The sounding
-        # SNR gamma uses a waveform-independent power reference (the
-        # multi-port cap), so a switch does not shift gamma by the back-off
-        # gap and thresholds compare like with like. snr_df carries the
-        # single-carrier penalty of the throughput mapping.
+        # channel and sounding SNR gamma. gamma uses a waveform-independent
+        # power reference (the multi-port cap), so a switch does not shift
+        # gamma by the back-off gap and thresholds compare like with like.
         traj = evolve_fading(h, cell.fading_rho, streams.fading, b1 - b0)
         h = traj[-1]
-        snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
-        snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0) - cell.dfts_snr_penalty_db
-        gamma = compute_snr(p_cp, pl, sounding_gain(traj), n0)[::period]
+        gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
 
-        # switching machine, one vector update per sounding
-        df_states, guard_states = [is_df], [guard_end]
+        # switching machine over the block's soundings, then the per-slot
+        # masks from its switches: a switch at slot s toggles the waveform
+        # from row s+1 on and silences the rows before its guard end. The
+        # last of the b1 - b0 + 1 rows is the state after the block.
+        df_start, guard_start, sw_snd = is_df, guard_end, ()
         if dpws_enabled:
-            for k, slot in enumerate(slots[::period].tolist()):
-                heard = guard_end <= slot
-                is_df, c, t, switched = on_srs_array(is_df, c, t, gamma[k], heard, dpws_cfg)
-                if np.count_nonzero(switched):
-                    guard_end = np.where(switched, slot + 1 + dpws_cfg.guard_slots, guard_end)
-                    if events is not None:
-                        for i in np.flatnonzero(switched):
-                            to = DFT_S_OFDM if is_df[i] else CP_OFDM
-                            frm = CP_OFDM if is_df[i] else DFT_S_OFDM
-                            events.append((episode, ues[i].ue_id, slot_offset + slot, frm, to))
-                df_states.append(is_df)
-                guard_states.append(guard_end)
+            is_df, c, t, guard_end, sw_snd, sw_ue = on_srs_block(
+                is_df, c, t, guard_end, gamma, sounding_slots, dpws_cfg
+            )
+        if len(sw_snd):
+            sw_slot = sounding_slots[sw_snd]
+            row = sw_slot - b0 + 1
+            toggles = np.zeros((b1 - b0 + 1, n), dtype=bool)
+            toggles[0] = df_start
+            toggles[row, sw_ue] = True
+            df_rows = np.logical_xor.accumulate(toggles, axis=0)
+            ends = np.zeros((b1 - b0 + 1, n), dtype=np.int64)
+            ends[0] = guard_start
+            ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
+            is_df_slots = df_rows[:-1]
+            silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
+            if events is not None:
+                to_df = df_rows[row, sw_ue].tolist()
+                for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
+                    frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
+                    events.append((episode, ues[i].ue_id, slot_offset + slot, frm, to))
+        else:
+            is_df_slots = np.broadcast_to(is_df, (b1 - b0, n))
+            silent = slots[:, None] < guard_end
 
-        # per-slot masks: a slot runs on the state after the soundings
-        # before it; then one throughput mapping for the block
-        before = np.minimum((slots - b0 + period - 1) // period, len(df_states) - 1)
-        is_df_slots = np.stack(df_states)[before]
-        silent = slots[:, None] < np.stack(guard_states)[before]
-        np.copyto(snr, snr_df, where=is_df_slots)
+        # link budgets, each only if some slot reads it; snr_df carries the
+        # single-carrier penalty of the throughput mapping. Then one
+        # throughput mapping for the block.
+        all_df = is_df_slots.all()
+        if not all_df:
+            snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
+        if is_df_slots.any():
+            snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0) - cell.dfts_snr_penalty_db
+            if all_df:
+                snr = snr_df
+            else:
+                np.copyto(snr, snr_df, where=is_df_slots)
         tp, outage = map_throughput(snr, cfg.mcs, noise.bandwidth_hz)
         tp[silent] = 0.0
         tp_slots[b0:b1] = tp
@@ -257,10 +276,9 @@ def simulate_step(
         for total in sums.tolist():
             gamma_sum += total
         gamma_n += int(heard.sum())
-        ta = ta_base
-        if cell.ta_jitter_pct > 0.0:
-            ta = ta + streams.ta.uniform(-cell.ta_jitter_pct, cell.ta_jitter_pct, heard.shape)
-        ta = np.broadcast_to(np.maximum(ta, 0.0), heard.shape)
+        ta = timing_advance_percent(
+            dist, cell.cell_range_m, cell.ta_jitter_pct, streams.ta, heard.shape
+        )
         snr_hist = bin_snr(snr_hist, gamma[heard])
         ta_hist = bin_ta(ta_hist, ta[heard])
 
@@ -541,7 +559,10 @@ def run_evaluation(
     ckpt = Path(checkpoint)
     if not ckpt.is_file():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    qnet = QNetwork.load(ckpt, cfg.agent)
+    try:
+        qnet = QNetwork.load(ckpt, cfg.agent)
+    except ValueError as exc:  # a malformed checkpoint is bad input, like a missing one
+        raise ConfigError(str(exc)) from exc
     return _run_policy(cfg, outdir, "evaluate", qnet.parameters(), None, jobs)
 
 

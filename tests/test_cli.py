@@ -97,6 +97,13 @@ class TestConfig:
             ("[cell]\nta_jitter_pct = -1.0\n", "ta_jitter_pct"),
             ("[agent]\nbuffer_size = 64\nbatch_size = 65\n", "batch_size"),
             ("[episode]\nues_per_episode = 5\n", "ues_per_episode"),
+            ("[cell]\nmin_distance_m = nan\n", "min_distance_m"),
+            ("[cell]\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
+            ("[cell]\nmax_distance_m = inf\n", "max_distance_m"),
+            ("[dpws]\nzeta_db = -inf\n", "zeta_db"),
+            ("[power]\ndfts_snr_penalty_db = nan\n", "dfts_snr_penalty_db"),
+            ("[cell]\nmin_distance_m = 0\n", "min_distance_m"),
+            ("[cell]\nshadowing_sigma_db = -1\n", "shadowing_sigma_db"),
         ],
     )
     def test_out_of_range_values_exit_2_before_any_work(self, tmp_path, capsys, body, name):
@@ -261,6 +268,29 @@ class TestCliCommands:
             ]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fault", ["nan-weight", "header-only", "missing-array", "bad-shape"])
+    def test_malformed_checkpoint_exits_2_before_any_work(self, tmp_path, capsys, fault):
+        ini = tiny_ini(tmp_path)
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "t")]) == EXIT_OK
+        # header, shape line, then the arrays w1, b1, w2, b2
+        lines = (tmp_path / "t" / "checkpoint.txt").read_text().splitlines()
+        if fault == "nan-weight":
+            name, _, *rest = lines[3].split()
+            lines[3] = " ".join([name, "nan", *rest])
+        elif fault == "header-only":
+            lines = lines[:1]
+        elif fault == "missing-array":
+            lines = lines[:3]
+        else:
+            lines[1] = "shape 5 x 9"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "e"
+        rc = main(["evaluate", "--config", str(ini), "--out", str(out), "--checkpoint", str(bad)])
+        assert rc == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_schema_error_exit_code(self, tmp_path):
         a = tmp_path / "a"

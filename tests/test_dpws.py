@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpwsim.dpws_fsm import DpwsConfig, DpwsState, is_occasion, on_slot, on_srs, on_srs_array
+from dpwsim.dpws_fsm import DpwsConfig, DpwsState, is_occasion, on_srs, on_srs_block
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 
 from dpws_reference import reference_run
@@ -60,25 +60,39 @@ class TestHandTraces:
             on_srs(DpwsState(guard_remaining=3), cfg, 0.0)
 
 
+def block_switches(initial_waveform, gammas, cfg, guard_end=0, slots=None):
+    """One terminal through ``on_srs_block``; returns its switch events
+    like ``drive`` and the final state. Soundings sit on slots 0, 1, 2, ...
+    unless ``slots`` says otherwise."""
+    slots = np.arange(len(gammas)) if slots is None else np.asarray(slots)
+    zero = np.zeros(1, dtype=np.int64)
+    is_df, c, t, end, sw_snd, sw_ue = on_srs_block(
+        np.array([initial_waveform == DFT_S_OFDM]), zero, zero, np.array([guard_end]),
+        np.array(gammas, dtype=float)[:, None], slots, cfg,
+    )
+    assert list(sw_ue) == [0] * len(sw_snd)
+    waveform = initial_waveform
+    switches = []
+    for k in sw_snd.tolist():
+        waveform = CP_OFDM if waveform == DFT_S_OFDM else DFT_S_OFDM
+        switches.append((k, waveform))
+    assert (DFT_S_OFDM if is_df[0] else CP_OFDM) == waveform
+    return switches, int(c[0]), int(t[0]), int(end[0])
+
+
 class TestGuardCountdown:
+    # the guard runs one slot at a time: a terminal whose guard ends at slot
+    # g first hears the sounding at slot g
     def test_counts_down(self):
-        assert on_slot(DpwsState(guard_remaining=19)).guard_remaining == 18
+        cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        switches, _, _, end = block_switches(CP_OFDM, [-1.0] * 40, cfg, guard_end=19)
+        assert switches[0] == (19, DFT_S_OFDM)
+        assert end == 20
 
     def test_idempotent_at_zero(self):
-        assert on_slot(DpwsState(guard_remaining=0)).guard_remaining == 0
-
-
-def drive_array(initial_waveform, gammas, cfg):
-    """``drive`` through the array form, one terminal wide."""
-    is_df = np.array([initial_waveform == DFT_S_OFDM])
-    c = t = np.zeros(1, dtype=np.int64)
-    heard = np.ones(1, dtype=bool)
-    switches = []
-    for k, gamma in enumerate(gammas):
-        is_df, c, t, switched = on_srs_array(is_df, c, t, np.array([gamma]), heard, cfg)
-        if switched[0]:
-            switches.append((k, DFT_S_OFDM if is_df[0] else CP_OFDM))
-    return switches
+        cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        switches, _, _, _ = block_switches(CP_OFDM, [-1.0] * 4, cfg, guard_end=0)
+        assert switches[0] == (0, DFT_S_OFDM)
 
 
 class TestReferenceEquivalence:
@@ -98,11 +112,12 @@ class TestReferenceEquivalence:
             gammas = rng.uniform(-6.0, 10.0, size=15).tolist()
             want = reference_run(start, gammas, cfg.zeta_db, cfg.xi_db, counter, window)
             assert drive(start, gammas, cfg) == want
-            assert drive_array(start, gammas, cfg) == want
+            assert block_switches(start, gammas, cfg)[0] == want
 
     def test_array_form_matches_scalar_states(self):
-        # many terminals at once, some not heard, from arbitrary counter and
-        # timer values, including timers already at the window
+        # many terminals at once through a block of soundings, from random
+        # guard ends and carried counters, against on_srs per terminal and
+        # sounding; guards end inside, before and after the block
         rng = np.random.default_rng(7)
         for _ in range(300):
             counter = int(rng.integers(1, 6))
@@ -114,32 +129,56 @@ class TestReferenceEquivalence:
                 window_srs=window,
                 guard_slots=int(rng.integers(0, 30)),
             )
-            n = 12
+            n, period, n_snd = 12, int(rng.integers(1, 4)), int(rng.integers(1, 20))
+            slots = 100 + period * np.arange(n_snd)
+            gamma = rng.uniform(-6.0, 10.0, size=(n_snd, n))
             states = [
                 DpwsState(
                     waveform=CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM,
-                    c=int(rng.integers(0, counter)),
-                    t=int(rng.integers(0, window + 2)),
+                    c=(c := int(rng.integers(0, counter))),
+                    t=c,
+                    guard_remaining=int(rng.integers(90, 100 + period * n_snd + 10)),
                 )
                 for _ in range(n)
             ]
-            gamma = rng.uniform(-6.0, 10.0, size=n)
-            heard = rng.random(n) < 0.8
-            is_df, c, t, switched = on_srs_array(
+            is_df, c, t, guard_end, sw_snd, sw_ue = on_srs_block(
                 np.array([s.waveform == DFT_S_OFDM for s in states]),
                 np.array([s.c for s in states]),
                 np.array([s.t for s in states]),
+                np.array([s.guard_remaining for s in states]),
                 gamma,
-                heard,
+                slots,
                 cfg,
             )
+            # the scalar machine, sounding by sounding; guard_remaining holds
+            # the guard's end slot here
+            want_switches = []
+            for k, slot in enumerate(slots.tolist()):
+                for i, state in enumerate(states):
+                    if slot < state.guard_remaining:
+                        continue
+                    state, switched = on_srs(replace(state, guard_remaining=0), cfg, gamma[k, i])
+                    if switched:
+                        want_switches.append((k, i))
+                        state = replace(state, guard_remaining=slot + 1 + cfg.guard_slots)
+                    else:
+                        state = replace(state, guard_remaining=states[i].guard_remaining)
+                    states[i] = state
+            assert list(zip(sw_snd.tolist(), sw_ue.tolist())) == want_switches
             for i, state in enumerate(states):
-                want, want_switch = (
-                    on_srs(state, cfg, float(gamma[i])) if heard[i] else (state, False)
+                got = DpwsState(
+                    DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(t[i]), int(guard_end[i])
                 )
-                got = DpwsState(DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(t[i]), 0)
-                assert got == replace(want, guard_remaining=0)
-                assert switched[i] == want_switch
+                assert got == state
+
+    def test_timer_must_equal_counter(self):
+        cfg = DpwsConfig(counter=3, window_srs=4)
+        one = np.ones(1, dtype=np.int64)
+        with pytest.raises(ValueError):
+            on_srs_block(
+                np.zeros(1, dtype=bool), one, one + 1, np.zeros(1, dtype=np.int64),
+                np.zeros((2, 1)), np.arange(2), cfg,
+            )
 
 
 class TestInvariants:

@@ -70,7 +70,8 @@ class TestBinning:
         rng = np.random.default_rng(5)
         xs = rng.normal(8.0, 9.0, size=400)
         whole = bin_snr(Histogram12(), xs)
-        parts = bin_snr(Histogram12(), xs[:150]).merge(bin_snr(Histogram12(), xs[150:]))
+        # binning in parts, one after the other, as a step does per block
+        parts = bin_snr(bin_snr(Histogram12(), xs[:150]), xs[150:])
         shuffled = bin_snr(Histogram12(), xs[::-1].copy())
         np.testing.assert_array_equal(whole.counts, parts.counts)
         np.testing.assert_array_equal(whole.counts, shuffled.counts)

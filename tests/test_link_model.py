@@ -16,7 +16,6 @@ from dpwsim.link_model import (
     noise_power_dbm,
     path_loss_uma,
     precoded_gain,
-    select_precoder,
     select_tx_port,
     sounding_gain,
     transmit_power,
@@ -132,38 +131,44 @@ class TestFading:
             evolve_fading(draw_fading((1, 2), rng), 1.5, rng, 1)
 
 
+def entry_gains(h):
+    """Received power sum of each codebook entry, one matrix-vector product
+    per entry."""
+    return [float(np.sum(np.abs(h @ PRECODER_CODEBOOK[:, k]) ** 2)) for k in range(4)]
+
+
 class TestPrecoderSelection:
+    # precoded_gain is the gain of the best codebook entry
     def test_matched_row_picks_aligned_entry(self):
-        idx, w = select_precoder(np.array([[1.0, 1.0]], dtype=complex))
-        assert idx == 0
-        np.testing.assert_allclose(w, np.array([1.0, 1.0]) / np.sqrt(2.0))
+        h = np.array([[1.0, 1.0]], dtype=complex)
+        gains = entry_gains(h)
+        assert int(np.argmax(gains)) == 0
+        assert precoded_gain(h) == pytest.approx(gains[0])
+        assert precoded_gain(h) == pytest.approx(2.0)
 
     def test_conjugate_matched_entry(self):
         # row (1, -j): |1 + (-j)(j)|^2 is maximal for the (1, j) entry
-        idx, _ = select_precoder(np.array([[1.0, -1.0j]]))
-        assert idx == 2
+        h = np.array([[1.0, -1.0j]])
+        gains = entry_gains(h)
+        assert int(np.argmax(gains)) == 2
+        assert precoded_gain(h) == pytest.approx(gains[2])
+        assert all(precoded_gain(h) > g + 0.5 for k, g in enumerate(gains) if k != 2)
 
     def test_brute_force_oracle(self, rng):
         for _ in range(1000):
             h = draw_fading((2, 2), rng)
-            idx, _ = select_precoder(h)
-            gains = [
-                float(np.sum(np.abs(h @ PRECODER_CODEBOOK[:, k]) ** 2)) for k in range(4)
-            ]
-            assert idx == int(np.argmax(gains))
-            # argmax property: the selected gain is not beaten by any entry
-            assert gains[idx] >= max(gains) - 1e-12
+            # the chosen gain is not beaten by any entry, and is one of them
+            assert precoded_gain(h) == pytest.approx(max(entry_gains(h)), rel=1e-12)
 
     def test_single_port_rejected(self, rng):
         with pytest.raises(ValueError):
-            select_precoder(draw_fading((2, 1), rng))
+            precoded_gain(draw_fading((2, 1), rng))
 
     def test_batch_gain_consistency(self, rng):
         h = draw_fading((64, 2, 2), rng)
         g = precoded_gain(h)
         for i in range(64):
-            idx, w = select_precoder(h[i])
-            assert g[i] == pytest.approx(float(np.sum(np.abs(h[i] @ w) ** 2)))
+            assert g[i] == pytest.approx(max(entry_gains(h[i])))
 
     def test_port_selection_picks_stronger_column(self, rng):
         h = np.array([[0.1 + 0j, 2.0 + 0j]])

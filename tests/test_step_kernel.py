@@ -11,6 +11,7 @@ import pytest
 from dpwsim.config import SimConfig
 from dpwsim.dpws_fsm import DpwsState
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
+from dpwsim import orchestrator
 from dpwsim.orchestrator import STREAM_TRAIN, drop_ues, episode_streams, simulate_step
 
 from step_reference import reference_step
@@ -122,6 +123,29 @@ class TestKernelMatchesSlotLoop:
     @pytest.mark.parametrize("waveform", [CP_OFDM, DFT_S_OFDM])
     def test_switching_disabled(self, waveform):
         assert_same(small_cfg(seed=11), VARIED, fixed=waveform)
+
+    @pytest.mark.parametrize(
+        "waveform, unread", [(CP_OFDM, "select_tx_port"), (DFT_S_OFDM, "precoded_gain")]
+    )
+    def test_fixed_waveform_skips_the_other_budget(self, monkeypatch, waveform, unread):
+        def refuse(*args):
+            raise AssertionError(f"{unread} computed for a {waveform} step")
+
+        monkeypatch.setattr(orchestrator, unread, refuse)
+        assert_same(small_cfg(seed=14), VARIED, fixed=waveform)
+
+    def test_ping_pong(self):
+        # every sounding is an occasion for one of the two waveforms and no
+        # guard holds a terminal back, so terminals switch over and over
+        # inside one block
+        cfg = small_cfg(seed=15, slots=120, srs=1)
+        cfg.dpws.counter, cfg.dpws.window_srs, cfg.dpws.guard_slots = 1, 1, 0
+        events = assert_same(cfg, [(4.0, 0.0)] * 3)[1]
+        per_block = {}
+        for _, ue, slot, _, _ in events:
+            key = (ue, slot // cfg.episode.slots_per_step)
+            per_block[key] = per_block.get(key, 0) + 1
+        assert max(per_block.values()) >= 10
 
     def test_steps_spanning_several_slot_blocks(self):
         # 300 slots at period 3 make blocks of 126, 126 and 48 slots
