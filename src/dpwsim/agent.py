@@ -80,11 +80,6 @@ def decode_action(
     return new_zeta, new_xi
 
 
-def encode_action(d_zeta: float, d_xi: float) -> int:
-    """Inverse of the decode grid, for logging and tests."""
-    return ZETA_STEPS.index(d_zeta) * 3 + XI_STEPS.index(d_xi)
-
-
 def build_state(kpis: CellKpiReport, zeta: float, xi: float) -> np.ndarray:
     """Assemble and normalize the 8-component observation.
 

@@ -251,6 +251,17 @@ def _check_ranges(cfg: SimConfig) -> None:
             f"batch_size {agent.batch_size} exceeds buffer_size {agent.buffer_size}:"
             " the agent would never train"
         )
+    # a switch at the step's last sounding silences the next slots_per_step
+    # slots whole from this guard length on, and a silent terminal leaves
+    # the throughput percentiles mid-run
+    ep = cfg.episode
+    longest_guard = ep.slots_per_step + ep.srs_period_slots - 2
+    if cfg.dpws.guard_slots > longest_guard:
+        raise ConfigError(
+            f"guard_slots {cfg.dpws.guard_slots} would silence a terminal for a whole"
+            f" step; at most {longest_guard} with slots_per_step {ep.slots_per_step}"
+            f" and srs_period_slots {ep.srs_period_slots}"
+        )
     if cfg.episode.ues_per_episode < MIN_PERCENTILE_SAMPLES:
         raise ConfigError(
             f"ues_per_episode must be at least {MIN_PERCENTILE_SAMPLES} for the"

@@ -59,9 +59,9 @@ class Histogram12:
 
 def _bin_counts(edges, values: np.ndarray) -> np.ndarray:
     # rightmost bin whose half-open interval [edge_i, edge_{i+1}) holds the
-    # value; clipping implements total coverage / below-range clamping
-    idx = np.searchsorted(np.asarray(edges), values, side="right") - 1
-    idx = np.clip(idx, 0, N_BINS - 1)
+    # value; searching the inner edges only gives total coverage and
+    # clamps values below the first edge into bin 1
+    idx = np.searchsorted(np.asarray(edges[1:-1]), values, side="right")
     return np.bincount(idx, minlength=N_BINS).astype(np.int64)
 
 

@@ -5,7 +5,10 @@ SNR-to-throughput (AMC) mapping.
 All powers are handled in dBm internally; the thermal-noise formula is
 stated in dBW and converted once at evaluation. Operations accept numpy
 arrays wherever broadcasting makes sense, so the orchestrator evaluates a
-whole block of (slot, terminal) pairs in one call.
+whole block of (slot, terminal) pairs in one call. The gains work on
+(slot, terminal) slabs ``h[..., i, j]`` of the channel, and the AMC mapping
+is one search into a rate table; both avoid passes over short trailing
+axes, which cost more per element than the arithmetic.
 """
 
 from __future__ import annotations
@@ -180,15 +183,44 @@ def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: 
 
 
 def precoded_gain(h: np.ndarray, codebook: np.ndarray = PRECODER_CODEBOOK) -> np.ndarray:
-    """Best-codebook received power sum for a batch of (n_rx, n_tx) matrices."""
-    gains = np.sum(np.abs(np.asarray(h) @ codebook) ** 2, axis=-2)
-    return np.max(gains, axis=-1)
+    """Best-codebook received power sum for a batch of (n_rx, n_tx) matrices:
+    ``max_k sum_i |sum_j h_ij * w_jk|^2`` over the codebook columns w_k.
+
+    Computed on slabs: each ``h[..., i, j]`` is an array over the batch, and
+    the work is a handful of elementwise passes, one per codeword, receive
+    antenna and port. The receive antennas are summed in order, the
+    codewords compared by a running maximum.
+    """
+    h = np.asarray(h)
+    n_rx, n_tx = h.shape[-2:]
+    if n_tx != codebook.shape[0]:
+        raise ValueError(f"{n_tx} transmit ports, but the codebook has {codebook.shape[0]} rows")
+    best = None
+    for k in range(codebook.shape[1]):
+        gain = None
+        for i in range(n_rx):
+            y = h[..., i, 0] * codebook[0, k]
+            for j in range(1, n_tx):
+                y += h[..., i, j] * codebook[j, k]
+            power = np.abs(y) ** 2
+            gain = power if gain is None else gain + power
+        best = gain if best is None else np.maximum(best, gain)
+    return best
 
 
 def select_tx_port(h: np.ndarray) -> np.ndarray:
     """Single-port transmission gain: energy of the strongest transmit
-    column, ``max_j sum_i |h_ij|^2``. Batch-friendly like precoded_gain."""
-    return np.max(np.sum(np.abs(np.asarray(h)) ** 2, axis=-2), axis=-1)
+    column, ``max_j sum_i |h_ij|^2``. Batch-friendly like precoded_gain,
+    and computed on slabs the same way."""
+    h = np.asarray(h)
+    n_rx, n_tx = h.shape[-2:]
+    best = None
+    for j in range(n_tx):
+        gain = np.abs(h[..., 0, j]) ** 2
+        for i in range(1, n_rx):
+            gain = gain + np.abs(h[..., i, j]) ** 2
+        best = gain if best is None else np.maximum(best, gain)
+    return best
 
 
 def sounding_gain(h: np.ndarray) -> np.ndarray:
@@ -219,12 +251,15 @@ def compute_snr(p_out_dbm, pl_db, h_eff_gain, n0_dbm):
 def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
     """AMC lookup: highest entry whose threshold is <= SNR (closed lower
     bound). Returns (throughput bits/s, outage flag); below the lowest
-    threshold the terminal is in outage with zero throughput."""
+    threshold the terminal is in outage with zero throughput.
+
+    One search into the thresholds indexes a table whose entry 0 is the
+    outage throughput and entry k the k-th rate."""
     snr = np.asarray(snr_db, dtype=float)
-    idx = np.searchsorted(mcs.thresholds, snr, side="right") - 1
-    outage = idx < 0
-    eff = mcs.efficiencies[np.clip(idx, 0, len(mcs.efficiencies) - 1)]
-    tp = np.where(outage, 0.0, eff * bandwidth_hz)
+    idx = np.searchsorted(mcs.thresholds, snr, side="right")
+    table = np.concatenate(([0.0], mcs.efficiencies * bandwidth_hz))
+    tp = table[idx]
+    outage = idx == 0
     if snr.ndim == 0:
         return float(tp), bool(outage)
     return tp, outage

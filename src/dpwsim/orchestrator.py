@@ -6,9 +6,11 @@ A step is an array program over (slot, terminal), run in blocks of slots:
 per block, the fading trajectory, the gains and the SNR budgets come from a
 fixed number of numpy calls, the switching machine runs over all of the
 block's soundings at once with one pass per switch
-(``dpws_fsm.on_srs_block``), and the throughput mapping and the KPI
-binning run once. The slot-by-slot loop it replaces is kept as a test
-oracle (``tests/step_reference.py``); both give identical outputs.
+(``dpws_fsm.on_srs_block``), and the throughput mapping runs once. The
+sounding statistics (mean gamma, timing-advance draw, KPI binning) run
+once per step over the soundings of all blocks. The slot-by-slot loop it
+replaces is kept as a test oracle (``tests/step_reference.py``); both give
+identical outputs.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -160,7 +162,14 @@ def simulate_step(
     the per-slot waveform and guard masks. Last come the SNR budgets, each
     only if some slot of the block is on its waveform (a fixed-waveform
     baseline never computes the other one), and one throughput mapping of
-    the block.
+    the block. The gains are elementwise passes over (slot, terminal)
+    slabs of the trajectory (see ``link_model.precoded_gain``).
+
+    Each block keeps the gamma and heard-terminal rows of the soundings
+    that hear anyone. After the last block the step sums gamma over them,
+    draws their timing-advance jitter in one draw (the same numbers, in the
+    same order, as one draw per block) and bins SNR and timing advance
+    once.
 
     Returns the report and the evolved fading array; per-terminal outcomes
     are written onto the contexts. ``trace``, when given, receives the
@@ -188,9 +197,7 @@ def simulate_step(
     bearing = np.zeros(n, dtype=np.int64)
     outage_ct = np.zeros(n, dtype=np.int64)
     guard_ct = np.zeros(n, dtype=np.int64)
-    snr_hist = Histogram12(edges=SNR_BIN_EDGES)
-    ta_hist = Histogram12(edges=TA_BIN_EDGES)
-    gamma_sum, gamma_n = 0.0, 0
+    gamma_rows, heard_rows = [], []
     if trace is not None:
         trace["is_df"] = np.empty((n_slots, n), dtype=bool)
         trace["silent"] = np.empty((n_slots, n), dtype=bool)
@@ -263,24 +270,33 @@ def simulate_step(
             trace["is_df"][b0:b1] = is_df_slots
             trace["silent"][b0:b1] = silent
 
-        # sounding statistics over the heard terminals of the soundings that
-        # hear anyone; only those draw timing-advance jitter. gamma is summed
-        # per sounding over its heard terminals (a row sum when all are
-        # heard), then over soundings in slot order.
+        # the soundings that hear anyone, kept for the step's statistics
         heard = ~silent[::period]
         sounded = heard.any(axis=1)
-        gamma, heard = gamma[sounded], heard[sounded]
-        sums = gamma.sum(axis=1)
-        for k in np.flatnonzero(~heard.all(axis=1)):
-            sums[k] = gamma[k, heard[k]].sum()
-        for total in sums.tolist():
-            gamma_sum += total
-        gamma_n += int(heard.sum())
-        ta = timing_advance_percent(
-            dist, cell.cell_range_m, cell.ta_jitter_pct, streams.ta, heard.shape
-        )
-        snr_hist = bin_snr(snr_hist, gamma[heard])
-        ta_hist = bin_ta(ta_hist, ta[heard])
+        gamma_rows.append(gamma[sounded])
+        heard_rows.append(heard[sounded])
+
+    # sounding statistics over the heard terminals of the soundings that
+    # hear anyone, once per step; only those soundings draw timing-advance
+    # jitter, in one draw of all their rows. gamma is summed per sounding
+    # over its heard terminals (a row sum when all are heard), then over
+    # soundings in slot order.
+    gamma, heard = np.concatenate(gamma_rows), np.concatenate(heard_rows)
+    # free the block copies before the step's larger temporaries: held
+    # together they raise the heap's high-water mark, and so peak RSS
+    del gamma_rows, heard_rows
+    sums = gamma.sum(axis=1)
+    for k in np.flatnonzero(~heard.all(axis=1)):
+        sums[k] = gamma[k, heard[k]].sum()
+    gamma_sum = 0.0
+    for total in sums.tolist():
+        gamma_sum += total
+    gamma_n = int(heard.sum())
+    ta = timing_advance_percent(
+        dist, cell.cell_range_m, cell.ta_jitter_pct, streams.ta, heard.shape
+    )
+    snr_hist = bin_snr(Histogram12(edges=SNR_BIN_EDGES), gamma[heard])
+    ta_hist = bin_ta(Histogram12(edges=TA_BIN_EDGES), ta[heard])
 
     # a contiguous row per terminal: its mean sums in the same order as a
     # mean over the terminal's column would

@@ -10,7 +10,8 @@ Conventions used throughout:
   ~1 and the PAPR statistics are unaffected either way (PAPR is scale
   invariant).
 - Subcarrier mapping is contiguous, starting at a configurable offset.
-- The cyclic prefix is a fixed N/8-sample tail copy; it is never included
+- The cyclic prefix, a copy of the symbol's last N/8 samples, adds no
+  sample value of its own; it is not generated, and so it is never included
   in PAPR statistics.
 - Both generators take data blocks along the last axis: ``d`` of shape
   ``(..., n)`` gives one symbol per leading index, equal sample for sample
@@ -146,30 +147,6 @@ def generate_dft_s_ofdm(d: np.ndarray, grid: OfdmGrid) -> np.ndarray:
     mapped = _map_subcarriers(spread, grid)
     load = np.sqrt(grid.n_subcarriers / n)
     return load * np.fft.ifft(mapped, axis=-1, norm="ortho")
-
-
-def demap_cp_ofdm(x: np.ndarray, grid: OfdmGrid, n_data: int) -> np.ndarray:
-    """Invert :func:`generate_cp_ofdm` for a single port signal."""
-    spec = np.fft.fft(np.asarray(x, dtype=complex), norm="ortho")
-    return spec[grid.offset : grid.offset + n_data] / np.sqrt(grid.n_subcarriers / n_data)
-
-
-def demap_dft_s_ofdm(x: np.ndarray, grid: OfdmGrid, n_data: int) -> np.ndarray:
-    """Invert :func:`generate_dft_s_ofdm`."""
-    spec = np.fft.fft(np.asarray(x, dtype=complex), norm="ortho")
-    band = spec[grid.offset : grid.offset + grid.dft_size]
-    despread = np.fft.ifft(band, norm="ortho")
-    return despread[:n_data] / np.sqrt(grid.n_subcarriers / n_data)
-
-
-def add_cyclic_prefix(x: np.ndarray, cp_len: int | None = None) -> np.ndarray:
-    """Prepend the last ``cp_len`` samples (default N/8) along axis 0."""
-    x = np.asarray(x)
-    if cp_len is None:
-        cp_len = x.shape[0] // 8
-    if not 0 <= cp_len <= x.shape[0]:
-        raise ValueError(f"cyclic prefix length {cp_len} outside [0, {x.shape[0]}]")
-    return np.concatenate([x[x.shape[0] - cp_len :], x], axis=0)
 
 
 def rapp_amplify(pa: RappPa, sample) -> np.ndarray | complex:

@@ -15,7 +15,6 @@ from dpwsim.agent import (
     build_state,
     compute_reward,
     decode_action,
-    encode_action,
     epsilon_at,
     select_action,
     train_step,
@@ -90,15 +89,21 @@ class TestState:
         assert np.all(np.isfinite(s))
 
 
+def grid_index(d_zeta: float, d_xi: float) -> int:
+    """The action whose decode applies the steps (d_zeta, d_xi)."""
+    return ZETA_STEPS.index(d_zeta) * 3 + XI_STEPS.index(d_xi)
+
+
 class TestActions:
     def test_decode_encode_identity(self):
+        # the 3 x 3 grid of steps, zeta-major: every step pair is one action
         cfg = AgentConfig()
+        assert N_ACTIONS == len(ZETA_STEPS) * len(XI_STEPS)
         for a in range(N_ACTIONS):
-            dz = ZETA_STEPS[a // 3]
-            dx = XI_STEPS[a % 3]
-            assert encode_action(dz, dx) == a
             z, x = decode_action(a, 0.0, 5.0, cfg)
-            assert (z - 0.0, x - 5.0) == (dz, dx)
+            step = (z - 0.0, x - 5.0)
+            assert step == (ZETA_STEPS[a // 3], XI_STEPS[a % 3])
+            assert grid_index(*step) == a
 
     def test_center_action_is_identity(self):
         cfg = AgentConfig()
@@ -106,14 +111,14 @@ class TestActions:
 
     def test_step_sizes(self):
         cfg = AgentConfig()
-        a = encode_action(1.0, -0.5)
+        a = grid_index(1.0, -0.5)
         assert decode_action(a, 0.0, 5.0, cfg) == (1.0, 4.5)
 
     def test_clamping(self):
         cfg = AgentConfig()
-        assert decode_action(encode_action(0.0, -0.5), 0.0, 0.0, cfg)[1] == 0.0
-        assert decode_action(encode_action(1.0, 0.0), cfg.zeta_max_db, 0.0, cfg)[0] == cfg.zeta_max_db
-        assert decode_action(encode_action(-1.0, 0.0), cfg.zeta_min_db, 0.0, cfg)[0] == cfg.zeta_min_db
+        assert decode_action(grid_index(0.0, -0.5), 0.0, 0.0, cfg)[1] == 0.0
+        assert decode_action(grid_index(1.0, 0.0), cfg.zeta_max_db, 0.0, cfg)[0] == cfg.zeta_max_db
+        assert decode_action(grid_index(-1.0, 0.0), cfg.zeta_min_db, 0.0, cfg)[0] == cfg.zeta_min_db
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,21 @@ class TestConfig:
         out = tmp_path / "run"
         assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_guard_longer_than_a_step_exits_2_before_any_work(self, tmp_path, capsys):
+        # ci: 200 slots per step, a sounding every 2 slots. A switch at the
+        # last sounding (slot 198) with a 201-slot guard silences all of
+        # the next step.
+        path = tmp_path / "guard.ini"
+        path.write_text("[run]\nprofile = ci\n[dpws]\nguard_slots = 200\n")
+        assert load_config(path).dpws.guard_slots == 200
+        path.write_text("[run]\nprofile = ci\n[dpws]\nguard_slots = 201\n")
+        with pytest.raises(ConfigError, match="guard_slots"):
+            load_config(path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "guard_slots" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -310,3 +327,17 @@ class TestCliCommands:
 
     def test_selftest(self, tmp_path):
         assert main(["selftest", "--seed", "6"]) == EXIT_OK
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.signal.lfilter reproduces the fading loop bit for bit, but its
+    # import takes about 1.4 s in a fresh interpreter, several times the
+    # set-up of a whole run; every dpwsim command would pay it
+    import dpwsim
+
+    code = "import sys, dpwsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(dpwsim.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -45,6 +45,18 @@ class TestBinning:
             sigma = math.sqrt(10000 * p * (1 - p))
             assert abs(h.counts[i] - 10000 * p) <= max(3 * sigma, 1.0)
 
+    def test_every_edge_and_one_ulp_below(self):
+        # each finite edge opens its bin, the float just below it still
+        # belongs to the bin before, and the infinities land in the end bins
+        for edges, binner in ((SNR_BIN_EDGES, bin_snr), (TA_BIN_EDGES, bin_ta)):
+            finite = [e for e in edges if math.isfinite(e)]
+            values = finite + [math.nextafter(e, -math.inf) for e in finite] + [math.inf]
+            if edges[0] == -math.inf:
+                values.append(-math.inf)
+            for v in values:
+                want = max((i for i in range(12) if edges[i] <= v), default=0)
+                assert binner(Histogram12(edges=edges), v).counts[want] == 1
+
     def test_ta_center_bin(self):
         h = bin_ta(Histogram12(edges=TA_BIN_EDGES), 50.0)
         assert h.counts[4] == 1  # [45, 55) has lower edge 45

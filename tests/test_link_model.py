@@ -21,6 +21,11 @@ from dpwsim.link_model import (
     transmit_power,
 )
 from dpwsim.waveform import PRECODER_CODEBOOK
+from gain_reference import (
+    reference_map_throughput,
+    reference_precoded_gain,
+    reference_select_tx_port,
+)
 
 
 @pytest.fixture
@@ -176,6 +181,78 @@ class TestPrecoderSelection:
         assert sounding_gain(h) == pytest.approx((0.01 + 4.0) / 2.0)
 
 
+def random_channels(rng, n_rx, zero_every=0):
+    """Batches of (n_rx, 2) channels of random batch shapes, one or two batch
+    axes as in the simulator's (slot, terminal) arrays, with some entries
+    zeroed (a deep fade). numpy may group the receive-axis sum of a lone
+    matrix differently, so the batch axes are kept."""
+    for trial in range(200):
+        batch = tuple(rng.integers(1, 40, size=rng.integers(1, 3)))
+        h = draw_fading(batch + (n_rx, 2), rng)
+        if zero_every and trial % zero_every == 0:
+            h.flat[rng.integers(0, h.size, size=max(1, h.size // 3))] = 0.0
+        yield h
+
+
+def elementwise_precoded_gain(h):
+    """precoded_gain of one (n_rx, n_tx) matrix, one operation at a time in
+    the stated order: ports summed left to right, receive antennas in order,
+    then the best codeword. Each operation runs on a one-element array, so
+    it rounds like numpy's array loops; those may fuse a complex product or
+    round a magnitude unlike Python's complex scalars."""
+    best = None
+    for k in range(PRECODER_CODEBOOK.shape[1]):
+        gain = None
+        for row in h:
+            y = row[0:1] * PRECODER_CODEBOOK[0, k]
+            for j in range(1, len(row)):
+                y = y + row[j : j + 1] * PRECODER_CODEBOOK[j, k]
+            magnitude = float(np.abs(y)[0])
+            power = magnitude * magnitude
+            gain = power if gain is None else gain + power
+        best = gain if best is None else max(best, gain)
+    return best
+
+
+class TestSlabGains:
+    # the slab kernels against the matmul and trailing-axis formulas they
+    # replaced (tests/gain_reference.py)
+    def test_precoded_gain_bit_equal_at_one_rx(self, rng):
+        for h in random_channels(rng, 1, zero_every=5):
+            np.testing.assert_array_equal(precoded_gain(h), reference_precoded_gain(h))
+
+    def test_zero_channel_is_outage(self):
+        h = np.zeros((3, 4, 1, 2), dtype=complex)
+        for gain in (precoded_gain(h), select_tx_port(h)):
+            assert gain.shape == (3, 4) and np.all(gain == 0.0)
+            snr = compute_snr(20.0, 100.0, gain, -100.0)
+            assert np.all(snr == -np.inf)
+            tp, outage = map_throughput(snr, McsTable(), 3.6e6)
+            assert np.all(outage) and np.all(tp == 0.0)
+
+    @pytest.mark.parametrize("n_rx", range(1, 17))
+    def test_select_tx_port_bit_equal(self, rng, n_rx):
+        for h in random_channels(rng, n_rx, zero_every=7):
+            np.testing.assert_array_equal(select_tx_port(h), reference_select_tx_port(h))
+
+    @pytest.mark.parametrize("n_rx", [2, 3, 4, 8])
+    def test_precoded_gain_multi_rx(self, rng, n_rx):
+        # the slab order is the explicit elementwise one; the matmul's
+        # rounding depends on the BLAS kernel, so it agrees to a few ulps
+        for h in random_channels(rng, n_rx):
+            g = precoded_gain(h)
+            np.testing.assert_allclose(g, reference_precoded_gain(h), rtol=2e-15, atol=0.0)
+            flat_h, flat_g = h.reshape(-1, n_rx, 2), np.reshape(g, -1)
+            for m in range(0, len(flat_h), 17):
+                assert flat_g[m] == elementwise_precoded_gain(flat_h[m])
+
+    def test_strided_trajectory_slots(self, rng):
+        # the orchestrator passes every period-th slot of a trajectory
+        traj = draw_fading((64, 20, 1, 2), rng)[::2]
+        np.testing.assert_array_equal(precoded_gain(traj), reference_precoded_gain(traj))
+        np.testing.assert_array_equal(select_tx_port(traj), reference_select_tx_port(traj))
+
+
 class TestSnr:
     def test_hand_budget(self):
         snr = compute_snr(22.0, 110.0, 2.0, -103.43697499232712)
@@ -238,6 +315,34 @@ class TestAmc:
             base, _ = map_throughput(float(snr), mcs, 3.6e6)
             pen, _ = map_throughput(float(snr) - 0.7, mcs, 3.6e6)
             assert pen <= base
+
+    def test_table_lookup_at_each_threshold(self):
+        mcs = McsTable()
+        thr = mcs.thresholds
+        below = np.nextafter(thr, -np.inf)
+        tp, outage = map_throughput(thr, mcs, 3.6e6)
+        np.testing.assert_array_equal(tp, mcs.efficiencies * 3.6e6)
+        assert not outage.any()
+        tp, outage = map_throughput(below, mcs, 3.6e6)
+        np.testing.assert_array_equal(tp[1:], mcs.efficiencies[:-1] * 3.6e6)
+        assert tp[0] == 0.0 and outage[0] and not outage[1:].any()
+        assert map_throughput(-np.inf, mcs, 3.6e6) == (0.0, True)
+        top = float(mcs.efficiencies[-1] * 3.6e6)
+        assert map_throughput(np.nextafter(thr[-1], np.inf), mcs, 3.6e6) == (top, False)
+        assert map_throughput(np.inf, mcs, 3.6e6) == (top, False)
+
+    def test_table_lookup_matches_clipped_search(self, rng):
+        mcs = McsTable()
+        thr = mcs.thresholds
+        snr = np.concatenate(
+            [rng.uniform(-30.0, 40.0, (64, 50)).ravel(), thr, np.nextafter(thr, -np.inf),
+             [-np.inf, np.inf]]
+        )
+        for got, want in zip(map_throughput(snr, mcs, 3.6e6),
+                             reference_map_throughput(snr, mcs, 3.6e6)):
+            np.testing.assert_array_equal(got, want)
+        for x in (-6.0, -6.01, 19.8, 45.0, -np.inf):
+            assert map_throughput(x, mcs, 3.6e6) == reference_map_throughput(x, mcs, 3.6e6)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
