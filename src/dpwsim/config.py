@@ -196,7 +196,7 @@ _FIELDS = {
     },
 }
 # INI keys parsed by load_config itself; [power] dfts_snr_penalty_db is the
-# older home of the [cell] key
+# older home of the [cell] key, and the two may not be given together
 _OTHER_KEYS = {
     "run": {"profile", "seed"},
     "power": {"mpr_db", "dfts_snr_penalty_db"},
@@ -214,7 +214,8 @@ def _apply(section, obj, fields: dict) -> None:
 
 
 def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
-    """Refuse sections and keys that nothing reads, such as misspellings."""
+    """Refuse sections and keys that nothing reads, such as misspellings,
+    and the penalty key given in both of its homes."""
     for name in parser.sections():
         known = set(_FIELDS.get(name, ())) | _OTHER_KEYS.get(name, set())
         if not known:
@@ -222,6 +223,11 @@ def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
         for key in parser[name]:
             if key not in known:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{name}]")
+    key = "dfts_snr_penalty_db"
+    if all(parser.has_option(name, key) for name in ("cell", "power")):
+        raise ConfigError(
+            f"{path}: {key!r} is set in both [cell] and [power]; keep the [cell] one"
+        )
 
 
 def _check_ranges(cfg: SimConfig) -> None:

@@ -21,12 +21,13 @@ Two behaviors worth calling out:
   a useful property: raising the threshold never delays the first switch
   out of the multi-port waveform.
 
-``on_srs`` steps one terminal through one reception. The simulator runs
-``on_srs_block``, which takes all terminals through all soundings of a slot
-block at once and works once per switch rather than once per sounding.
-It relies on the second point above: with ``t == c`` the window never
-binds, so a terminal's counter at any sounding is just the length of its
-current run of occasions.
+``on_srs`` steps one terminal through one reception and keeps the timer,
+as the machine is specified. The simulator runs ``on_srs_block``, which
+takes all terminals through all soundings of a slot block at once and works
+once per switch rather than once per sounding. It keeps no timer, by the
+second point above: ``t == c`` always, so the window never binds and a
+terminal's counter at any sounding is just the length of its current run
+of occasions.
 """
 
 from __future__ import annotations
@@ -102,17 +103,16 @@ def on_srs(state: DpwsState, cfg: DpwsConfig, gamma_db: float) -> tuple[DpwsStat
 def on_srs_block(
     is_df: np.ndarray,
     c: np.ndarray,
-    t: np.ndarray,
     guard_end: np.ndarray,
     gamma_db: np.ndarray,
     sounding_slots: np.ndarray,
     cfg: DpwsConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``on_srs`` over a block of soundings for many terminals at once.
 
     ``gamma_db`` holds the sounding SNR as (sounding, terminal), and
     ``sounding_slots`` the increasing slots of its rows. ``is_df`` marks the
-    terminals on DFT-S-OFDM and ``c`` and ``t`` hold their counters. A
+    terminals on DFT-S-OFDM and ``c`` holds their occasion counters. A
     terminal hears the soundings at or after its ``guard_end`` slot; a
     switch at slot s sets ``guard_end`` to s + 1 + ``cfg.guard_slots``.
 
@@ -123,14 +123,12 @@ def on_srs_block(
     counter is the switch; the terminal then starts over from the first
     sounding after its new guard, on the other waveform with ``c = 0``.
 
-    The timer equals the counter (see the module docstring), so the window
-    never binds; ``t != c`` raises ``ValueError``. Returns the new
-    (is_df, c, t, guard_end) and the switches as (sounding index, terminal
-    index) arrays, sorted by sounding and then terminal.
+    There is no timer: it would equal the counter (see the module
+    docstring), so the window never binds. Returns the new (is_df, c,
+    guard_end) and the switches as (sounding index, terminal index) arrays,
+    sorted by sounding and then terminal.
     """
     c = np.array(c, dtype=np.int64)
-    if not np.array_equal(c, t):
-        raise ValueError("the timer must equal the occasion counter")
     is_df, guard_end = is_df.copy(), np.array(guard_end, dtype=np.int64)
     n_snd = len(sounding_slots)
     below = gamma_db < cfg.zeta_db
@@ -162,4 +160,4 @@ def on_srs_block(
     sw_snd = np.concatenate(sw_snd) if sw_snd else np.zeros(0, dtype=np.int64)
     sw_ue = np.concatenate(sw_ue) if sw_ue else np.zeros(0, dtype=np.int64)
     order = np.lexsort((sw_ue, sw_snd))
-    return is_df, c, c.copy(), guard_end, sw_snd[order], sw_ue[order]
+    return is_df, c, guard_end, sw_snd[order], sw_ue[order]

@@ -2,15 +2,15 @@
 under the current switching parameters, aggregates KPIs, steps the learning
 agent and writes all run artifacts.
 
-A step is an array program over (slot, terminal), run in blocks of slots:
-per block, the fading trajectory, the gains and the SNR budgets come from a
-fixed number of numpy calls, the switching machine runs over all of the
-block's soundings at once with one pass per switch
-(``dpws_fsm.on_srs_block``), and the throughput mapping runs once. The
-sounding statistics (mean gamma, timing-advance draw, KPI binning) run
-once per step over the soundings of all blocks. The slot-by-slot loop it
-replaces is kept as a test oracle (``tests/step_reference.py``); both give
-identical outputs.
+The cell is a ``Cell`` of arrays over its terminals, and a step is an array
+program over (slot, terminal), run in blocks of slots: per block, the
+fading trajectory, the gains and the SNR budgets come from a fixed number
+of numpy calls, the switching machine runs over all of the block's
+soundings at once with one pass per switch (``dpws_fsm.on_srs_block``),
+and the throughput mapping runs once. The sounding statistics (mean
+gamma, timing-advance draw, KPI binning) run once per step over the
+soundings of all blocks. The slot-by-slot loop it replaces is kept as a
+test oracle (``tests/step_reference.py``); both give identical outputs.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -46,7 +46,7 @@ from .agent import (
 from .config import ConfigError, SimConfig
 # on_srs, the scalar form of the switching machine, stays bound here so that
 # bench/spans.py can time it by name like the other helpers
-from .dpws_fsm import DpwsState, on_srs, on_srs_block  # noqa: F401
+from .dpws_fsm import on_srs, on_srs_block  # noqa: F401
 from .kpi import (
     CellKpiReport,
     Histogram12,
@@ -82,21 +82,37 @@ BLOCK_SLOTS = 128
 
 
 @dataclass
-class UeContext:
-    """One dropped terminal: geometry, its frozen shadowing (folded into
-    the path loss), the fading draw at drop time, its switching state, and
-    per-step outputs."""
+class Cell:
+    """The dropped terminals as arrays, one entry per terminal (its index is
+    its ``ue_id``): geometry with the frozen shadowing folded into the path
+    loss, switching state, and the outcomes of the last step. Everyone
+    starts on the multi-port waveform with a cleared switching machine."""
 
-    ue_id: int
-    distance_m: float
-    path_loss_db: float
-    fading: np.ndarray
-    dpws: DpwsState = field(default_factory=DpwsState)
-    # filled by simulate_step
-    step_throughput_bps: float = 0.0
-    bearing_slots: int = 0
-    guard_slots_used: int = 0
-    outage_slots: int = 0
+    distance_m: np.ndarray
+    path_loss_db: np.ndarray
+    # switching state: on DFT-S-OFDM, the occasion counter, and the guard
+    # slots carried into the next step
+    is_df: np.ndarray = field(init=False)
+    c: np.ndarray = field(init=False)
+    guard_end: np.ndarray = field(init=False)
+    # the last step's outcomes; set by simulate_step
+    throughput_bps: np.ndarray = field(init=False)
+    bearing_slots: np.ndarray = field(init=False)
+    outage_slots: np.ndarray = field(init=False)
+    guard_slots: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self)
+        self.is_df = np.zeros(n, dtype=bool)
+        self.c = np.zeros(n, dtype=np.int64)
+        self.guard_end = np.zeros(n, dtype=np.int64)
+        self.throughput_bps = np.zeros(n)
+        self.bearing_slots = np.zeros(n, dtype=np.int64)
+        self.outage_slots = np.zeros(n, dtype=np.int64)
+        self.guard_slots = np.zeros(n, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.distance_m)
 
 
 @dataclass
@@ -116,29 +132,21 @@ def agent_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_AGENT])))
 
 
-def drop_ues(cfg: SimConfig, rng: np.random.Generator) -> list[UeContext]:
+def drop_ues(cfg: SimConfig, rng: np.random.Generator) -> tuple[Cell, np.ndarray]:
     """Uniform distances in the configured annulus, per-terminal lognormal
-    shadowing frozen for the episode, fresh fading; everyone starts on the
-    multi-port waveform with a cleared switching machine."""
+    shadowing frozen for the episode, fresh fading; returns the cell and
+    its (terminal, rx, tx) fading array."""
     n = cfg.episode.ues_per_episode
     cell = cfg.cell
     distances = rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n)
     shadow = rng.normal(0.0, cell.shadowing_sigma_db, size=n)
     fading = draw_fading((n, cell.n_rx, 2), rng)
     pl = path_loss_uma(distances, cell.carrier_ghz) + shadow
-    return [
-        UeContext(
-            ue_id=i,
-            distance_m=float(distances[i]),
-            path_loss_db=float(pl[i]),
-            fading=fading[i].copy(),
-        )
-        for i in range(n)
-    ]
+    return Cell(distance_m=distances, path_loss_db=pl), fading
 
 
 def simulate_step(
-    ues: list[UeContext],
+    cell: Cell,
     fading: np.ndarray,
     zeta_db: float,
     xi_db: float,
@@ -171,27 +179,24 @@ def simulate_step(
     same order, as one draw per block) and bins SNR and timing advance
     once.
 
-    Returns the report and the evolved fading array; per-terminal outcomes
-    are written onto the contexts. ``trace``, when given, receives the
-    per-slot (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
+    Reads the switching state from ``cell`` and writes back the new state
+    and the step's per-terminal outcomes; returns the report and the
+    evolved fading array. ``trace``, when given, receives the per-slot
+    (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
     """
-    n = len(ues)
-    cell, ep_cfg = cfg.cell, cfg.episode
+    n = len(cell)
+    cell_cfg, ep_cfg = cfg.cell, cfg.episode
     n_slots, period = ep_cfg.slots_per_step, ep_cfg.srs_period_slots
     dpws_cfg = replace(cfg.dpws, zeta_db=zeta_db, xi_db=xi_db)
-    noise = cell.noise()
+    noise = cell_cfg.noise()
     n0 = noise_power_dbm(noise)
-    pl = np.array([ue.path_loss_db for ue in ues])
-    dist = np.array([ue.distance_m for ue in ues])
+    pl = cell.path_loss_db
     p_cp = transmit_power(cfg.power, pl, CP_OFDM)
     p_df = transmit_power(cfg.power, pl, DFT_S_OFDM)
 
     # switching state; a terminal is silent while slot < guard_end, and a
     # switch at slot s silences slots s+1..s+guard
-    is_df = np.array([ue.dpws.waveform == DFT_S_OFDM for ue in ues])
-    c = np.array([ue.dpws.c for ue in ues], dtype=np.int64)
-    t = np.array([ue.dpws.t for ue in ues], dtype=np.int64)
-    guard_end = np.array([ue.dpws.guard_remaining for ue in ues], dtype=np.int64)
+    is_df, c, guard_end = cell.is_df, cell.c, cell.guard_end
 
     tp_slots = np.empty((n_slots, n))
     bearing = np.zeros(n, dtype=np.int64)
@@ -214,7 +219,7 @@ def simulate_step(
         # channel and sounding SNR gamma. gamma uses a waveform-independent
         # power reference (the multi-port cap), so a switch does not shift
         # gamma by the back-off gap and thresholds compare like with like.
-        traj = evolve_fading(h, cell.fading_rho, streams.fading, b1 - b0)
+        traj = evolve_fading(h, cell_cfg.fading_rho, streams.fading, b1 - b0)
         h = traj[-1]
         gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
 
@@ -224,8 +229,8 @@ def simulate_step(
         # last of the b1 - b0 + 1 rows is the state after the block.
         df_start, guard_start, sw_snd = is_df, guard_end, ()
         if dpws_enabled:
-            is_df, c, t, guard_end, sw_snd, sw_ue = on_srs_block(
-                is_df, c, t, guard_end, gamma, sounding_slots, dpws_cfg
+            is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
+                is_df, c, guard_end, gamma, sounding_slots, dpws_cfg
             )
         if len(sw_snd):
             sw_slot = sounding_slots[sw_snd]
@@ -243,7 +248,7 @@ def simulate_step(
                 to_df = df_rows[row, sw_ue].tolist()
                 for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
                     frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
-                    events.append((episode, ues[i].ue_id, slot_offset + slot, frm, to))
+                    events.append((episode, i, slot_offset + slot, frm, to))
         else:
             is_df_slots = np.broadcast_to(is_df, (b1 - b0, n))
             silent = slots[:, None] < guard_end
@@ -255,7 +260,8 @@ def simulate_step(
         if not all_df:
             snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
         if is_df_slots.any():
-            snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0) - cell.dfts_snr_penalty_db
+            snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0)
+            snr_df -= cell_cfg.dfts_snr_penalty_db
             if all_df:
                 snr = snr_df
             else:
@@ -293,26 +299,17 @@ def simulate_step(
         gamma_sum += total
     gamma_n = int(heard.sum())
     ta = timing_advance_percent(
-        dist, cell.cell_range_m, cell.ta_jitter_pct, streams.ta, heard.shape
+        cell.distance_m, cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct, streams.ta,
+        heard.shape,
     )
     snr_hist = bin_snr(Histogram12(edges=SNR_BIN_EDGES), gamma[heard])
     ta_hist = bin_ta(Histogram12(edges=TA_BIN_EDGES), ta[heard])
 
+    cell.is_df, cell.c, cell.guard_end = is_df, c, np.maximum(guard_end - n_slots, 0)
     # a contiguous row per terminal: its mean sums in the same order as a
     # mean over the terminal's column would
-    ue_tp = np.ascontiguousarray(tp_slots.T).mean(axis=1)
-    guard_left = np.maximum(guard_end - n_slots, 0)
-    for i, ue in enumerate(ues):
-        ue.dpws = DpwsState(
-            waveform=DFT_S_OFDM if is_df[i] else CP_OFDM,
-            c=int(c[i]),
-            t=int(t[i]),
-            guard_remaining=int(guard_left[i]),
-        )
-        ue.step_throughput_bps = float(ue_tp[i])
-        ue.bearing_slots = int(bearing[i])
-        ue.outage_slots = int(outage_ct[i])
-        ue.guard_slots_used = int(guard_ct[i])
+    cell.throughput_bps = np.ascontiguousarray(tp_slots.T).mean(axis=1)
+    cell.bearing_slots, cell.outage_slots, cell.guard_slots = bearing, outage_ct, guard_ct
 
     # cell throughput distribution over terminals; scheduling drops
     # terminals that spent the whole transmission in outage
@@ -425,8 +422,7 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
 
     for episode in range(ep_cfg.train_episodes):
         streams = episode_streams(cfg.seed, STREAM_TRAIN, episode)
-        ues = drop_ues(cfg, streams.drop)
-        fading = np.stack([ue.fading for ue in ues])
+        cell, fading = drop_ues(cfg, streams.drop)
         zeta, xi = cfg.dpws.zeta_db, cfg.dpws.xi_db
         prev_state = None
         prev_stats = None
@@ -441,7 +437,7 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
                 action = select_action(policy, prev_state, eps, rng)
                 zeta, xi = decode_action(action, zeta, xi, cfg.agent)
             report, fading = simulate_step(
-                ues,
+                cell,
                 fading,
                 zeta,
                 xi,
@@ -491,11 +487,8 @@ def _policy_episode(
         for target, src in zip(qnet.parameters(), params):
             target[...] = src
     streams = episode_streams(cfg.seed, STREAM_EVAL, episode)
-    ues = drop_ues(cfg, streams.drop)
-    if fixed_waveform is not None:
-        for ue in ues:
-            ue.dpws = DpwsState(waveform=fixed_waveform)
-    fading = np.stack([ue.fading for ue in ues])
+    cell, fading = drop_ues(cfg, streams.drop)
+    cell.is_df[:] = fixed_waveform == DFT_S_OFDM
     zeta, xi = cfg.dpws.zeta_db, cfg.dpws.xi_db
     events: list = []
     rows = []
@@ -505,7 +498,7 @@ def _policy_episode(
             action = int(np.argmax(qnet.forward(prev_state)))
             zeta, xi = decode_action(action, zeta, xi, cfg.agent)
         report, fading = simulate_step(
-            ues,
+            cell,
             fading,
             zeta,
             xi,
@@ -519,11 +512,11 @@ def _policy_episode(
         if qnet is not None:
             prev_state = build_state(report, zeta, xi)
         rows.append((episode, step, zeta, xi, report))
-    samples = [
-        (episode, ue.ue_id, ue.distance_m, ue.dpws.waveform, ue.step_throughput_bps)
-        for ue in ues
-        if ue.bearing_slots > 0
-    ]
+    # the terminals that carried data in the last step
+    ue_id = np.flatnonzero(cell.bearing_slots > 0)
+    waveform = np.where(cell.is_df[ue_id], DFT_S_OFDM, CP_OFDM).tolist()
+    dist, tp = cell.distance_m[ue_id].tolist(), cell.throughput_bps[ue_id].tolist()
+    samples = [(episode, *row) for row in zip(ue_id.tolist(), dist, waveform, tp)]
     return rows, samples, events
 
 

@@ -155,6 +155,22 @@ class TestConfig:
         path.write_text("[power]\ndfts_snr_penalty_db = 1.1\n")
         assert load_config(path).cell.dfts_snr_penalty_db == 1.1
 
+    def test_penalty_in_both_sections_exits_2_before_any_work(self, tmp_path, capsys):
+        # the old spelling used to win silently over the [cell] key
+        path = tmp_path / "both.ini"
+        path.write_text(
+            "[run]\nprofile = ci\n"
+            "[cell]\ndfts_snr_penalty_db = 1.0\n"
+            "[power]\ndfts_snr_penalty_db = 2.0\n"
+        )
+        with pytest.raises(ConfigError, match="dfts_snr_penalty_db"):
+            load_config(path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(word in err for word in ("dfts_snr_penalty_db", "[cell]", "[power]"))
+        assert not out.exists()
+
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_profiles_load(self, profile):
         assert load_config(None, profile=profile).profile == profile

@@ -66,8 +66,8 @@ def block_switches(initial_waveform, gammas, cfg, guard_end=0, slots=None):
     unless ``slots`` says otherwise."""
     slots = np.arange(len(gammas)) if slots is None else np.asarray(slots)
     zero = np.zeros(1, dtype=np.int64)
-    is_df, c, t, end, sw_snd, sw_ue = on_srs_block(
-        np.array([initial_waveform == DFT_S_OFDM]), zero, zero, np.array([guard_end]),
+    is_df, c, end, sw_snd, sw_ue = on_srs_block(
+        np.array([initial_waveform == DFT_S_OFDM]), zero, np.array([guard_end]),
         np.array(gammas, dtype=float)[:, None], slots, cfg,
     )
     assert list(sw_ue) == [0] * len(sw_snd)
@@ -77,7 +77,7 @@ def block_switches(initial_waveform, gammas, cfg, guard_end=0, slots=None):
         waveform = CP_OFDM if waveform == DFT_S_OFDM else DFT_S_OFDM
         switches.append((k, waveform))
     assert (DFT_S_OFDM if is_df[0] else CP_OFDM) == waveform
-    return switches, int(c[0]), int(t[0]), int(end[0])
+    return switches, int(c[0]), int(end[0])
 
 
 class TestGuardCountdown:
@@ -85,13 +85,13 @@ class TestGuardCountdown:
     # g first hears the sounding at slot g
     def test_counts_down(self):
         cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
-        switches, _, _, end = block_switches(CP_OFDM, [-1.0] * 40, cfg, guard_end=19)
+        switches, _, end = block_switches(CP_OFDM, [-1.0] * 40, cfg, guard_end=19)
         assert switches[0] == (19, DFT_S_OFDM)
         assert end == 20
 
     def test_idempotent_at_zero(self):
         cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
-        switches, _, _, _ = block_switches(CP_OFDM, [-1.0] * 4, cfg, guard_end=0)
+        switches, _, _ = block_switches(CP_OFDM, [-1.0] * 4, cfg, guard_end=0)
         assert switches[0] == (0, DFT_S_OFDM)
 
 
@@ -141,10 +141,9 @@ class TestReferenceEquivalence:
                 )
                 for _ in range(n)
             ]
-            is_df, c, t, guard_end, sw_snd, sw_ue = on_srs_block(
+            is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
                 np.array([s.waveform == DFT_S_OFDM for s in states]),
                 np.array([s.c for s in states]),
-                np.array([s.t for s in states]),
                 np.array([s.guard_remaining for s in states]),
                 gamma,
                 slots,
@@ -165,20 +164,12 @@ class TestReferenceEquivalence:
                         state = replace(state, guard_remaining=states[i].guard_remaining)
                     states[i] = state
             assert list(zip(sw_snd.tolist(), sw_ue.tolist())) == want_switches
+            # the block machine keeps no timer: the scalar one's equals c
             for i, state in enumerate(states):
                 got = DpwsState(
-                    DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(t[i]), int(guard_end[i])
+                    DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(c[i]), int(guard_end[i])
                 )
                 assert got == state
-
-    def test_timer_must_equal_counter(self):
-        cfg = DpwsConfig(counter=3, window_srs=4)
-        one = np.ones(1, dtype=np.int64)
-        with pytest.raises(ValueError):
-            on_srs_block(
-                np.zeros(1, dtype=bool), one, one + 1, np.zeros(1, dtype=np.int64),
-                np.zeros((2, 1)), np.arange(2), cfg,
-            )
 
 
 class TestInvariants:

@@ -6,7 +6,6 @@ import pytest
 
 from dpwsim.agent import select_action
 from dpwsim.config import SimConfig, apply_profile
-from dpwsim.dpws_fsm import DpwsState
 from dpwsim.kpi import REWARD_FACTOR_IDS
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 from dpwsim.orchestrator import (
@@ -39,28 +38,25 @@ def tiny_cfg(seed=1, ues=24, slots=40, srs=2) -> SimConfig:
 
 def fresh_cell(cfg, lane=STREAM_TRAIN, episode=0, fixed=None):
     streams = episode_streams(cfg.seed, lane, episode)
-    ues = drop_ues(cfg, streams.drop)
+    cell, fading = drop_ues(cfg, streams.drop)
     if fixed is not None:
-        for ue in ues:
-            ue.dpws = DpwsState(waveform=fixed)
-    return ues, np.stack([u.fading for u in ues]), streams
+        cell.is_df[:] = fixed == DFT_S_OFDM
+    return cell, fading, streams
 
 
 class TestDrop:
     def test_deterministic_under_seed(self):
         cfg = tiny_cfg(seed=9)
-        a = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
-        b = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
-        assert [u.distance_m for u in a] == [u.distance_m for u in b]
-        assert [u.path_loss_db for u in a] == [u.path_loss_db for u in b]
-        np.testing.assert_array_equal(
-            np.stack([u.fading for u in a]), np.stack([u.fading for u in b])
-        )
+        a, fading_a = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
+        b, fading_b = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
+        np.testing.assert_array_equal(a.distance_m, b.distance_m)
+        np.testing.assert_array_equal(a.path_loss_db, b.path_loss_db)
+        np.testing.assert_array_equal(fading_a, fading_b)
 
     def test_distance_bounds_and_uniformity(self):
         cfg = tiny_cfg()
         cfg.episode.ues_per_episode = 4000
-        d = np.array([u.distance_m for u in drop_ues(cfg, np.random.default_rng(3))])
+        d = drop_ues(cfg, np.random.default_rng(3))[0].distance_m
         lo, hi = cfg.cell.min_distance_m, cfg.cell.max_distance_m
         assert d.min() >= lo and d.max() <= hi
         # one-sample KS against the uniform CDF, 1% critical value
@@ -69,9 +65,10 @@ class TestDrop:
         assert ks < 1.63 / math.sqrt(d.size)
 
     def test_everyone_starts_multiport(self):
-        ues = drop_ues(tiny_cfg(), np.random.default_rng(0))
-        assert all(u.dpws.waveform == CP_OFDM for u in ues)
-        assert all(u.dpws.c == 0 and u.dpws.t == 0 for u in ues)
+        cell, fading = drop_ues(tiny_cfg(), np.random.default_rng(0))
+        assert len(cell) == len(fading) == 24
+        assert not cell.is_df.any()
+        assert not cell.c.any() and not cell.guard_end.any()
 
 
 class TestSimulateStep:
@@ -85,37 +82,41 @@ class TestSimulateStep:
 
     @staticmethod
     def _cell(cfg):
-        ues, fading, streams = fresh_cell(cfg)
-        return ues, fading, 0.0, 5.0, cfg, streams
+        cell, fading, streams = fresh_cell(cfg)
+        return cell, fading, 0.0, 5.0, cfg, streams
 
     def test_slot_conservation(self):
         cfg = tiny_cfg(seed=5, slots=60)
         cfg.dpws.guard_slots = 7
-        ues, fading, streams = fresh_cell(cfg)
-        simulate_step(ues, fading, 25.0, 10.0, cfg, streams)  # high threshold: switches
-        for ue in ues:
-            assert ue.bearing_slots + ue.outage_slots + ue.guard_slots_used == 60
+        cell, fading, streams = fresh_cell(cfg)
+        events = []
+        # high threshold: switches
+        simulate_step(cell, fading, 25.0, 10.0, cfg, streams, events=events)
+        assert events and cell.guard_slots.any()
+        np.testing.assert_array_equal(
+            cell.bearing_slots + cell.outage_slots + cell.guard_slots, 60
+        )
 
     def test_unreachable_threshold_equals_fixed_cp(self):
         cfg = tiny_cfg(seed=6)
-        ues_a, fading_a, streams_a = fresh_cell(cfg)
-        rep_a, _ = simulate_step(ues_a, fading_a, -math.inf, 5.0, cfg, streams_a)
-        ues_b, fading_b, streams_b = fresh_cell(cfg, fixed=CP_OFDM)
-        rep_b, _ = simulate_step(ues_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
+        cell_a, fading_a, streams_a = fresh_cell(cfg)
+        rep_a, _ = simulate_step(cell_a, fading_a, -math.inf, 5.0, cfg, streams_a)
+        cell_b, fading_b, streams_b = fresh_cell(cfg, fixed=CP_OFDM)
+        rep_b, _ = simulate_step(cell_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
         np.testing.assert_array_equal(rep_a.snr_hist.counts, rep_b.snr_hist.counts)
         assert rep_a.throughput == rep_b.throughput
-        assert [u.step_throughput_bps for u in ues_a] == [u.step_throughput_bps for u in ues_b]
+        np.testing.assert_array_equal(cell_a.throughput_bps, cell_b.throughput_bps)
 
     def test_always_threshold_switches_everyone_once(self):
         cfg = tiny_cfg(seed=7, slots=100)
         cfg.dpws.counter = 2
         cfg.dpws.window_srs = 4
         cfg.dpws.guard_slots = 3
-        ues, fading, streams = fresh_cell(cfg)
+        cell, fading, streams = fresh_cell(cfg)
         events = []
-        simulate_step(ues, fading, math.inf, math.inf, cfg, streams, events=events)
-        assert all(u.dpws.waveform == DFT_S_OFDM for u in ues)
-        assert len(events) == len(ues)  # exactly one switch each, never back
+        simulate_step(cell, fading, math.inf, math.inf, cfg, streams, events=events)
+        assert cell.is_df.all()
+        assert len(events) == len(cell)  # exactly one switch each, never back
 
     def test_guard_zeroes_exactly_guard_slots(self):
         cfg = tiny_cfg(seed=8, ues=24, slots=60)
@@ -123,10 +124,10 @@ class TestSimulateStep:
         cfg.dpws.window_srs = 2
         cfg.dpws.guard_slots = 19
         cfg.cell.fading_rho = 1.0  # freeze fading so throughput is steady
-        ues, fading, streams = fresh_cell(cfg)
+        cell, fading, streams = fresh_cell(cfg)
         events = []
         trace = {}
-        simulate_step(ues, fading, math.inf, math.inf, cfg, streams,
+        simulate_step(cell, fading, math.inf, math.inf, cfg, streams,
                       events=events, trace=trace)
         assert events, "expected at least one switch"
         for episode, ue_id, slot, frm, to in events:
@@ -143,10 +144,10 @@ class TestSimulateStep:
         cfg.dpws.counter = 2
         cfg.dpws.window_srs = 4
         cfg.dpws.guard_slots = 2
-        ues, fading, streams = fresh_cell(cfg)
+        cell, fading, streams = fresh_cell(cfg)
         events = []
         trace = {}
-        simulate_step(ues, fading, math.inf, math.inf, cfg, streams,
+        simulate_step(cell, fading, math.inf, math.inf, cfg, streams,
                       events=events, trace=trace)
         for episode, ue_id, slot, frm, to in events:
             assert not trace["is_df"][slot, ue_id]  # still on the old waveform that slot
@@ -162,9 +163,9 @@ class TestSimulateStep:
         cfg.dpws.guard_slots = 5
 
         def slot_tp(fixed, zeta, dpws_enabled):
-            ues, fading, streams = fresh_cell(cfg, fixed=fixed)
+            cell, fading, streams = fresh_cell(cfg, fixed=fixed)
             trace = {}
-            simulate_step(ues, fading, zeta, 2.0, cfg, streams,
+            simulate_step(cell, fading, zeta, 2.0, cfg, streams,
                           dpws_enabled=dpws_enabled, trace=trace)
             return trace["tp"]
 
@@ -241,9 +242,27 @@ class TestRuns:
 
     def test_eval_drops_differ_from_training_drops(self):
         cfg = tiny_cfg(seed=24)
-        train = drop_ues(cfg, episode_streams(cfg.seed, STREAM_TRAIN, 0).drop)
-        ev = drop_ues(cfg, episode_streams(cfg.seed, STREAM_EVAL, 0).drop)
-        assert [u.distance_m for u in train] != [u.distance_m for u in ev]
+        train, _ = drop_ues(cfg, episode_streams(cfg.seed, STREAM_TRAIN, 0).drop)
+        ev, _ = drop_ues(cfg, episode_streams(cfg.seed, STREAM_EVAL, 0).drop)
+        assert not np.array_equal(train.distance_m, ev.distance_m)
+
+    def test_evaluation_and_baselines_share_their_drops(self, tmp_path):
+        # paired streams: a terminal of an evaluation episode stands at the
+        # same distance in the greedy run and in both baselines
+        cfg = tiny_cfg(seed=29)
+        ck = run_training(cfg, tmp_path / "t")
+        run_evaluation(cfg, tmp_path / "e", ck)
+        run_baseline(cfg, tmp_path / "cp", CP_OFDM)
+        run_baseline(cfg, tmp_path / "df", DFT_S_OFDM)
+        seen = {}
+        for d in ("e", "cp", "df"):
+            with open(tmp_path / d / "ue_samples.csv", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    seen.setdefault((row["episode"], row["ue_id"]), []).append(row["distance_m"])
+        shared = [distances for distances in seen.values() if len(distances) > 1]
+        assert len(shared) >= cfg.episode.eval_episodes
+        for distances in shared:
+            assert len(set(distances)) == 1, distances
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = tiny_cfg(seed=25)

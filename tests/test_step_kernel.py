@@ -1,9 +1,15 @@
 """The array kernel ``simulate_step`` against the slot-by-slot oracle in
 ``step_reference.py``: over several consecutive steps, both must give equal
 reports, switch events, per-terminal outcomes, returned fading, trace masks
-and random-stream states."""
+and random-stream states.
+
+The kernel keeps the cell as a ``Cell`` of arrays; the oracle reads and
+writes one context per terminal, in the shape of the terminal objects it
+was written for. ``KernelCell`` and ``OracleCell`` wrap the two, and both
+report the same per-terminal tuple."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,35 +36,82 @@ def small_cfg(seed=3, ues=24, slots=40, srs=2, **cell):
     return cfg
 
 
-def run_steps(step_fn, cfg, thresholds, fixed=None):
-    """Drop a cell and run one step per (zeta, xi); returns everything the
-    step produces or touches."""
+class KernelCell:
+    """The dropped ``Cell``, stepped by ``simulate_step``."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def step(self, *args, **kwargs):
+        return simulate_step(self.cell, *args, **kwargs)
+
+    def terminals(self):
+        """Per terminal: (is_df, c, guard_end, throughput, bearing, outage,
+        guard) after a step."""
+        cell = self.cell
+        return list(zip(
+            cell.is_df.tolist(), cell.c.tolist(), cell.guard_end.tolist(),
+            cell.throughput_bps.tolist(), cell.bearing_slots.tolist(),
+            cell.outage_slots.tolist(), cell.guard_slots.tolist(),
+        ))
+
+
+class OracleCell:
+    """The dropped ``Cell`` as the oracle's list of terminal contexts,
+    stepped by ``reference_step``."""
+
+    def __init__(self, cell):
+        self.ues = [
+            SimpleNamespace(
+                ue_id=i,
+                distance_m=d,
+                path_loss_db=pl,
+                dpws=DpwsState(waveform=DFT_S_OFDM if df else CP_OFDM),
+            )
+            for i, (d, pl, df) in enumerate(
+                zip(cell.distance_m.tolist(), cell.path_loss_db.tolist(), cell.is_df.tolist())
+            )
+        ]
+
+    def step(self, *args, **kwargs):
+        return reference_step(self.ues, *args, **kwargs)
+
+    def terminals(self):
+        out = []
+        for ue in self.ues:
+            st = ue.dpws
+            assert st.t == st.c  # why the kernel's machine keeps no timer
+            out.append((
+                st.waveform == DFT_S_OFDM, st.c, st.guard_remaining, ue.step_throughput_bps,
+                ue.bearing_slots, ue.outage_slots, ue.guard_slots_used,
+            ))
+        return out
+
+
+def run_steps(adapter, cfg, thresholds, fixed=None):
+    """Drop a cell and run one step per (zeta, xi) through ``adapter``
+    (``KernelCell`` or ``OracleCell``); returns everything the step
+    produces or touches."""
     streams = episode_streams(cfg.seed, STREAM_TRAIN, 0)
-    ues = drop_ues(cfg, streams.drop)
+    cell, fading = drop_ues(cfg, streams.drop)
     if fixed is not None:
-        for ue in ues:
-            ue.dpws = DpwsState(waveform=fixed)
-    fading = np.stack([ue.fading for ue in ues])
+        cell.is_df[:] = fixed == DFT_S_OFDM
+    sim = adapter(cell)
     events, steps = [], []
     for k, (zeta, xi) in enumerate(thresholds):
         trace = {}
-        report, fading = step_fn(
-            ues, fading, zeta, xi, cfg, streams,
+        report, fading = sim.step(
+            fading, zeta, xi, cfg, streams,
             dpws_enabled=fixed is None, events=events, episode=2,
             slot_offset=k * cfg.episode.slots_per_step, trace=trace,
         )
-        terminals = [
-            (ue.dpws, ue.step_throughput_bps, ue.bearing_slots, ue.outage_slots,
-             ue.guard_slots_used)
-            for ue in ues
-        ]
-        steps.append((report, terminals, fading, trace))
+        steps.append((report, sim.terminals(), fading, trace))
     return steps, events, streams.fading.bit_generator.state, streams.ta.bit_generator.state
 
 
 def assert_same(cfg, thresholds, fixed=None):
-    got = run_steps(simulate_step, cfg, thresholds, fixed)
-    want = run_steps(reference_step, cfg, thresholds, fixed)
+    got = run_steps(KernelCell, cfg, thresholds, fixed)
+    want = run_steps(OracleCell, cfg, thresholds, fixed)
     for k, ((rep_a, ues_a, fad_a, tr_a), (rep_b, ues_b, fad_b, tr_b)) in enumerate(
         zip(got[0], want[0])
     ):
@@ -99,7 +152,7 @@ class TestKernelMatchesSlotLoop:
         cfg.dpws.guard_slots = guard
         steps = assert_same(cfg, VARIED)[0]
         if guard > cfg.episode.slots_per_step:
-            assert any(ue[0].guard_remaining > 0 for _, ues, _, _ in steps for ue in ues)
+            assert any(ue[2] > 0 for _, terminals, _, _ in steps for ue in terminals)
 
     def test_guard_covering_every_sounding_of_a_step(self):
         cfg = small_cfg(seed=4, ues=30, srs=4)
