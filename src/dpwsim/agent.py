@@ -59,6 +59,32 @@ class AgentConfig:
     zeta_max_db: float = 25.0
     xi_max_db: float = 10.0
 
+    def __post_init__(self):
+        for name in ("hidden", "buffer_size", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.batch_size > self.buffer_size:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds buffer_size {self.buffer_size}:"
+                " the agent would never train"
+            )
+        for name in ("learning_rate", "theta", "reward_clip"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epsilon_start", "epsilon_min"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        # transitions carry no terminal flag, so only a discount below 1
+        # bounds the Q-values
+        if not 0.0 <= self.discount < 1.0:
+            raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
+        if not self.xi_max_db >= 0.0:
+            raise ValueError(f"xi_max_db must not be negative, got {self.xi_max_db}")
+        if not self.zeta_min_db <= self.zeta_max_db:
+            raise ValueError(
+                f"zeta_min_db {self.zeta_min_db} exceeds zeta_max_db {self.zeta_max_db}"
+            )
+
 
 @dataclass
 class RewardSpec:

@@ -4,6 +4,14 @@ One INI-style file drives every command. All values have embedded defaults
 so an empty (or absent) file is a valid configuration; the ``profile`` key
 picks one of the named size presets before any explicit key is applied.
 
+There is one schema. Each section is a dataclass (``[cell]`` is
+:class:`CellConfig`, ``[agent]`` is :class:`~dpwsim.agent.AgentConfig` and
+so on), and its ``int`` and ``float`` fields are the section's keys. A
+section's range rules live in its dataclass's ``__post_init__``, so
+:func:`load_config` checks a section by building it, once, from the preset
+and the INI values. The rules that span sections are in ``_check_ranges``.
+Every refusal is a :class:`ConfigError`, raised before any simulation runs.
+
 Example::
 
     [run]
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .agent import AgentConfig
@@ -54,6 +62,26 @@ class CellConfig:
     fading_rho: float = 0.99
     ta_jitter_pct: float = 3.0
     dfts_snr_penalty_db: float = 0.7
+
+    def __post_init__(self):
+        for name in ("carrier_ghz", "scs_khz", "min_distance_m", "cell_range_m"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("n_rb", "n_rx"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.min_distance_m > self.max_distance_m:
+            raise ConfigError(
+                f"min_distance_m {self.min_distance_m} exceeds max_distance_m {self.max_distance_m}"
+            )
+        if not self.shadowing_sigma_db >= 0.0:
+            raise ConfigError(
+                f"shadowing_sigma_db must not be negative, got {self.shadowing_sigma_db}"
+            )
+        if not 0.0 <= self.fading_rho <= 1.0:
+            raise ConfigError(f"fading_rho must be in [0, 1], got {self.fading_rho}")
+        if not self.ta_jitter_pct >= 0.0:
+            raise ConfigError(f"ta_jitter_pct must not be negative, got {self.ta_jitter_pct}")
 
     def noise(self) -> NoiseConfig:
         return NoiseConfig(
@@ -121,79 +149,30 @@ class SimConfig:
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
 
     def describe(self) -> dict:
-        d = {
-            "profile": self.profile,
-            "seed": self.seed,
-            "cell": asdict(self.cell),
-            "power": {
-                "p0_dbm": self.power.p0_dbm,
-                "alpha": self.power.alpha,
-                "p_max_dbm": self.power.p_max_dbm,
-                "mpr_db": {f"{w}/{m}": v for (w, m), v in sorted(self.power.mpr_db.items())},
-            },
-            "mcs": [list(e) for e in self.mcs.entries],
-            "dpws": asdict(self.dpws),
-            "agent": asdict(self.agent),
-            "episode": asdict(self.episode),
-        }
+        d = asdict(self)
+        d["power"]["mpr_db"] = {f"{w}/{m}": v for (w, m), v in sorted(self.power.mpr_db.items())}
+        d["mcs"] = [list(e) for e in self.mcs.entries]
         return d
 
 
-def _parse_mpr(text: str) -> dict:
-    table = {}
-    for item in text.replace("\n", " ").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            key, val = item.split(":")
-            wf, mod = key.strip().split("/")
-            table[(wf.strip(), mod.strip())] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad MPR entry {item!r} (want waveform/mod:dB)") from exc
-    return table
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()} is not finite")
+    return value
 
 
-def _parse_mcs(text: str) -> tuple:
-    entries = []
-    for item in text.replace("\n", " ").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            thr, eff = item.split(":")
-            entries.append((float(thr), float(eff)))
-        except ValueError as exc:
-            raise ConfigError(f"bad MCS entry {item!r} (want threshold:efficiency)") from exc
-    return tuple(entries)
-
-
-# INI keys set through _apply, by section; each section sets the SimConfig
-# field of its own name
-_FIELDS = {
-    "cell": {
-        "carrier_ghz": float, "scs_khz": float, "n_rb": int, "n_rx": int,
-        "min_distance_m": float, "max_distance_m": float,
-        "cell_range_m": float, "noise_figure_db": float,
-        "shadowing_sigma_db": float, "fading_rho": float,
-        "ta_jitter_pct": float, "dfts_snr_penalty_db": float,
-    },
-    "power": {"p0_dbm": float, "alpha": float, "p_max_dbm": float},
-    "dpws": {
-        "zeta_db": float, "xi_db": float, "counter": int,
-        "window_srs": int, "guard_slots": int,
-    },
-    "agent": {
-        "hidden": int, "learning_rate": float, "discount": float,
-        "buffer_size": int, "batch_size": int, "epsilon_start": float,
-        "epsilon_min": float, "theta": float, "reward_clip": float,
-        "zeta_min_db": float, "zeta_max_db": float, "xi_max_db": float,
-    },
-    "episode": {
-        "ues_per_episode": int, "slots_per_step": int,
-        "srs_period_slots": int, "train_episodes": int,
-        "train_steps": int, "eval_episodes": int, "eval_steps": int,
-    },
+# field types are strings, since every module of a section postpones its
+# annotations
+_NUMBERS = {"int": int, "float": _finite}
+# INI keys read as numbers, by section: the int and float fields of the
+# dataclass of each SimConfig section
+_KEYS = {
+    section.name: {
+        f.name: _NUMBERS[f.type] for f in fields(section.default_factory) if f.type in _NUMBERS
+    }
+    for section in fields(SimConfig)
+    if section.default_factory is not MISSING
 }
 # INI keys parsed by load_config itself; [power] dfts_snr_penalty_db is the
 # older home of the [cell] key, and the two may not be given together
@@ -204,20 +183,40 @@ _OTHER_KEYS = {
 }
 
 
-def _apply(section, obj, fields: dict) -> None:
-    for key, conv in fields.items():
-        if key in section:
-            try:
-                setattr(obj, key, conv(section[key]))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
+def _number(convert, key: str, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _items(text: str, key, form: str) -> list[tuple]:
+    """The comma-separated ``key:value`` items of ``text``, each key read
+    by ``key`` and each value a finite number; ``form`` names the item's
+    shape in the error for a bad one."""
+    items = []
+    for item in text.replace("\n", " ").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            k, v = item.split(":")
+            items.append((key(k.strip()), _finite(v)))
+        except ValueError as exc:
+            raise ConfigError(f"bad entry {item!r} (want {form})") from exc
+    return items
+
+
+def _mpr_key(text: str) -> tuple[str, str]:
+    waveform, modulation = text.split("/")
+    return waveform.strip(), modulation.strip()
 
 
 def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
     """Refuse sections and keys that nothing reads, such as misspellings,
     and the penalty key given in both of its homes."""
     for name in parser.sections():
-        known = set(_FIELDS.get(name, ())) | _OTHER_KEYS.get(name, set())
+        known = set(_KEYS.get(name, ())) | _OTHER_KEYS.get(name, set())
         if not known:
             raise ConfigError(f"{path}: unknown section [{name}]")
         for key in parser[name]:
@@ -231,32 +230,7 @@ def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
 
 
 def _check_ranges(cfg: SimConfig) -> None:
-    """Cross-field and range rules that the dataclasses do not check."""
-    cell, agent = cfg.cell, cfg.agent
-    for name, fields in _FIELDS.items():
-        for key, conv in fields.items():
-            value = getattr(getattr(cfg, name), key)
-            if conv is float and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-    if cell.min_distance_m <= 0.0:
-        raise ConfigError(f"min_distance_m must be positive, got {cell.min_distance_m}")
-    if cell.shadowing_sigma_db < 0.0:
-        raise ConfigError(
-            f"shadowing_sigma_db must not be negative, got {cell.shadowing_sigma_db}"
-        )
-    if not 0.0 <= cell.fading_rho <= 1.0:
-        raise ConfigError(f"fading_rho must be in [0, 1], got {cell.fading_rho}")
-    if cell.min_distance_m > cell.max_distance_m:
-        raise ConfigError(
-            f"min_distance_m {cell.min_distance_m} exceeds max_distance_m {cell.max_distance_m}"
-        )
-    if not cell.ta_jitter_pct >= 0.0:
-        raise ConfigError(f"ta_jitter_pct must not be negative, got {cell.ta_jitter_pct}")
-    if agent.batch_size > agent.buffer_size:
-        raise ConfigError(
-            f"batch_size {agent.batch_size} exceeds buffer_size {agent.buffer_size}:"
-            " the agent would never train"
-        )
+    """The rules that span sections; each section checks its own."""
     # a switch at the step's last sounding silences the next slots_per_step
     # slots whole from this guard length on, and a silent terminal leaves
     # the throughput percentiles mid-run
@@ -268,78 +242,74 @@ def _check_ranges(cfg: SimConfig) -> None:
             f" step; at most {longest_guard} with slots_per_step {ep.slots_per_step}"
             f" and srs_period_slots {ep.srs_period_slots}"
         )
-    if cfg.episode.ues_per_episode < MIN_PERCENTILE_SAMPLES:
+    if ep.ues_per_episode < MIN_PERCENTILE_SAMPLES:
         raise ConfigError(
             f"ues_per_episode must be at least {MIN_PERCENTILE_SAMPLES} for the"
-            f" throughput percentiles, got {cfg.episode.ues_per_episode}"
+            f" throughput percentiles, got {ep.ues_per_episode}"
         )
 
 
-def apply_profile(cfg: SimConfig, name: str) -> SimConfig:
-    if name not in PROFILES:
-        raise ConfigError(f"unknown profile {name!r} (have {sorted(PROFILES)})")
-    cfg.profile = name
-    preset = PROFILES[name]
-    for key, val in preset["episode"].items():
-        setattr(cfg.episode, key, val)
-    for key, val in preset["cell"].items():
-        setattr(cfg.cell, key, val)
-    for key, val in preset["agent"].items():
-        setattr(cfg.agent, key, val)
+def _build(cfg: SimConfig, profile: str, ini: dict) -> SimConfig:
+    """Set ``profile`` on ``cfg`` and build each section once, from its
+    current values overlaid first with the preset, then with ``ini``; the
+    section's dataclass checks the result."""
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r} (have {sorted(PROFILES)})")
+    cfg.profile = profile
+    for name in _KEYS:
+        values = {**PROFILES[profile].get(name, {}), **ini.get(name, {})}
+        try:
+            setattr(cfg, name, replace(getattr(cfg, name), **values))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    _check_ranges(cfg)
     return cfg
+
+
+def apply_profile(cfg: SimConfig, name: str) -> SimConfig:
+    """Set the size preset ``name`` on ``cfg``, rebuilding (and so checking)
+    each section."""
+    return _build(cfg, name, {})
 
 
 def load_config(path: str | Path | None = None, profile: str | None = None,
                 seed: int | None = None) -> SimConfig:
     """Build a SimConfig from defaults, an optional INI file, and optional
     profile/seed overrides (CLI flags win over file keys)."""
-    cfg = SimConfig()
-    parser = None
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-
-    file_profile = None
-    if parser is not None and parser.has_section("run"):
-        file_profile = parser["run"].get("profile")
-    apply_profile(cfg, profile or file_profile or cfg.profile)
-
-    if parser is not None:
         _check_names(parser, path)
-        if parser.has_section("run"):
-            _apply(parser["run"], cfg, {"seed": int})
-        for name, fields in _FIELDS.items():
-            if parser.has_section(name):
-                _apply(parser[name], getattr(cfg, name), fields)
-        if parser.has_section("power"):
-            sec = parser["power"]
-            if "mpr_db" in sec:
-                cfg.power.mpr_db = _parse_mpr(sec["mpr_db"])
-            _apply(sec, cfg.cell, {"dfts_snr_penalty_db": float})
-        if parser.has_section("mcs") and "table" in parser["mcs"]:
-            try:
-                cfg.mcs = McsTable(entries=_parse_mcs(parser["mcs"]["table"]))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
 
+    ini = {
+        name: {
+            key: _number(convert, key, parser[name][key])
+            for key, convert in keys.items()
+            if parser.has_option(name, key)
+        }
+        for name, keys in _KEYS.items()
+    }
+    if parser.has_option("power", "dfts_snr_penalty_db"):
+        key = "dfts_snr_penalty_db"
+        ini["cell"][key] = _number(_finite, key, parser["power"][key])
+    if parser.has_option("power", "mpr_db"):
+        ini["power"]["mpr_db"] = dict(
+            _items(parser["power"]["mpr_db"], _mpr_key, "waveform/mod:dB")
+        )
+    if parser.has_option("mcs", "table"):
+        ini["mcs"]["entries"] = tuple(
+            _items(parser["mcs"]["table"], _finite, "threshold:efficiency")
+        )
+
+    cfg = SimConfig()
     if seed is not None:
         cfg.seed = seed
-
-    # revalidate cross-field constraints after overrides
-    try:
-        PowerControlConfig(cfg.power.p0_dbm, cfg.power.alpha, cfg.power.p_max_dbm,
-                           cfg.power.mpr_db)
-        DpwsConfig(cfg.dpws.zeta_db, cfg.dpws.xi_db, cfg.dpws.counter,
-                   cfg.dpws.window_srs, cfg.dpws.guard_slots)
-        EpisodeConfig(**asdict(cfg.episode))
-        McsTable(cfg.mcs.entries)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_ranges(cfg)
-    return cfg
+    elif parser.has_option("run", "seed"):
+        cfg.seed = _number(int, "seed", parser["run"]["seed"])
+    return _build(cfg, profile or parser.get("run", "profile", fallback=cfg.profile), ini)

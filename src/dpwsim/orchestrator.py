@@ -477,15 +477,10 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
 
 
 def _policy_episode(
-    cfg: SimConfig, episode: int, params: list[np.ndarray] | None, fixed_waveform: str | None
+    cfg: SimConfig, episode: int, qnet: QNetwork | None, fixed_waveform: str | None
 ):
-    """One greedy-policy or fixed-waveform episode; returns (kpi rows,
-    per-terminal final-step samples, switch events)."""
-    qnet = None
-    if params is not None:
-        qnet = QNetwork(np.random.default_rng(0), cfg.agent)
-        for target, src in zip(qnet.parameters(), params):
-            target[...] = src
+    """One greedy-policy (``qnet``) or fixed-waveform episode; returns (kpi
+    rows, per-terminal final-step samples, switch events)."""
     streams = episode_streams(cfg.seed, STREAM_EVAL, episode)
     cell, fading = drop_ues(cfg, streams.drop)
     cell.is_df[:] = fixed_waveform == DFT_S_OFDM
@@ -524,12 +519,17 @@ def _run_policy(
     cfg: SimConfig,
     outdir: str | Path,
     mode: str,
-    params: list[np.ndarray] | None,
+    qnet: QNetwork | None,
     fixed_waveform: str | None,
     jobs: int = 1,
 ) -> ThroughputStats:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     writer = RunWriter(outdir, cfg, mode)
     episodes = range(cfg.episode.eval_episodes)
+    # the pool forks all its workers at the first submit, so size it by
+    # the work there is
+    jobs = min(jobs, len(episodes))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -539,12 +539,12 @@ def _run_policy(
                     _policy_episode,
                     [cfg] * len(episodes),
                     episodes,
-                    [params] * len(episodes),
+                    [qnet] * len(episodes),
                     [fixed_waveform] * len(episodes),
                 )
             )
     else:
-        results = [_policy_episode(cfg, ep, params, fixed_waveform) for ep in episodes]
+        results = [_policy_episode(cfg, ep, qnet, fixed_waveform) for ep in episodes]
 
     all_events: list = []
     all_samples: list = []
@@ -572,7 +572,7 @@ def run_evaluation(
         qnet = QNetwork.load(ckpt, cfg.agent)
     except ValueError as exc:  # a malformed checkpoint is bad input, like a missing one
         raise ConfigError(str(exc)) from exc
-    return _run_policy(cfg, outdir, "evaluate", qnet.parameters(), None, jobs)
+    return _run_policy(cfg, outdir, "evaluate", qnet, None, jobs)
 
 
 def run_baseline(

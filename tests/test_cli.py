@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpwsim.agent import AgentConfig, QNetwork
 from dpwsim.cli import EXIT_CONFIG, EXIT_OK, main
 from dpwsim.config import ConfigError, PROFILES, SimConfig, apply_profile, load_config
 
@@ -106,6 +108,24 @@ class TestConfig:
             ("[power]\ndfts_snr_penalty_db = nan\n", "dfts_snr_penalty_db"),
             ("[cell]\nmin_distance_m = 0\n", "min_distance_m"),
             ("[cell]\nshadowing_sigma_db = -1\n", "shadowing_sigma_db"),
+            ("[cell]\nn_rb = 0\n", "n_rb"),
+            ("[cell]\nscs_khz = 0\n", "scs_khz"),
+            ("[cell]\nn_rx = 0\n", "n_rx"),
+            ("[cell]\ncarrier_ghz = 0\n", "carrier_ghz"),
+            ("[cell]\ncell_range_m = 0\n", "cell_range_m"),
+            ("[agent]\nhidden = 0\n", "hidden"),
+            ("[agent]\nbuffer_size = 0\nbatch_size = 0\n", "buffer_size"),
+            ("[agent]\nepsilon_start = 2\n", "epsilon_start"),
+            ("[agent]\nepsilon_min = -1\n", "epsilon_min"),
+            ("[agent]\nxi_max_db = -1\n", "xi_max_db"),
+            ("[agent]\nzeta_min_db = 30\n", "zeta_min_db"),
+            ("[agent]\ndiscount = -5\n", "discount"),
+            ("[agent]\ndiscount = 1\n", "discount"),
+            ("[agent]\nlearning_rate = 0\n", "learning_rate"),
+            ("[agent]\ntheta = -50\n", "theta"),
+            ("[agent]\nreward_clip = -1\n", "reward_clip"),
+            ("[mcs]\ntable = nan:0.5, 4.0:1.5\n", "nan:0.5"),
+            ("[power]\nmpr_db = cp-ofdm:3.0, dft-s-ofdm/qpsk:1.0\n", "cp-ofdm:3.0"),
         ],
     )
     def test_out_of_range_values_exit_2_before_any_work(self, tmp_path, capsys, body, name):
@@ -324,6 +344,54 @@ class TestCliCommands:
         assert rc == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["evaluate", "baseline"])
+    def test_jobs_below_1_exit_2_before_any_work(self, tmp_path, capsys, command, jobs):
+        ini = tiny_ini(tmp_path)
+        ckpt = tmp_path / "checkpoint.txt"
+        QNetwork(np.random.default_rng(0), AgentConfig()).save(ckpt)
+        extra = {"evaluate": ["--checkpoint", str(ckpt)], "baseline": ["--waveform", "cp"]}
+        out = tmp_path / "run"
+        argv = [command, "--config", str(ini), "--out", str(out), "--jobs", jobs]
+        assert main(argv + extra[command]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_is_no_larger_than_the_episode_count(self, tmp_path, monkeypatch):
+        # the pool forks every worker at its first submit; a stand-in that
+        # maps serially records the size asked for and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ini = tiny_ini(tmp_path)  # 2 evaluation episodes
+        argv = ["baseline", "--config", str(ini), "--waveform", "cp", "--jobs", "500"]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        assert sizes == [2]
+
+    def test_evaluate_takes_the_width_from_the_checkpoint(self, tmp_path):
+        ini = tiny_ini(tmp_path)  # [agent] hidden is the default 60
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "t")]) == EXIT_OK
+        narrow = tmp_path / "narrow.ini"
+        narrow.write_text(ini.read_text() + "hidden = 32\n")  # appended to [agent]
+        for config, out in ((ini, "same"), (narrow, "narrow")):
+            argv = ["evaluate", "--config", str(config), "--out", str(tmp_path / out)]
+            assert main(argv + ["--checkpoint", str(tmp_path / "t" / "checkpoint.txt")]) == EXIT_OK
+        for name in ("kpi_steps.csv", "ue_samples.csv", "switch_events.csv"):
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "narrow" / name).read_bytes()
 
     def test_compare_schema_error_exit_code(self, tmp_path):
         a = tmp_path / "a"
