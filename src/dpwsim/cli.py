@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, _rebuild, load_config
 from .link_model import CP_OFDM, DFT_S_OFDM
 from .orchestrator import (
     STREAM_PAPR,
@@ -119,15 +119,13 @@ def cmd_compare(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Tiny end-to-end smoke run in a scratch directory."""
-    cfg = _load(args)
-    cfg.episode.ues_per_episode = 20
-    cfg.episode.slots_per_step = 60
-    cfg.episode.train_episodes = 2
-    cfg.episode.train_steps = 4
-    cfg.episode.eval_episodes = 2
-    cfg.episode.eval_steps = 3
-    cfg.agent.buffer_size = 16
-    cfg.agent.batch_size = 4
+    # the smoke run's sizes, checked like the values they replace
+    sizes = {
+        "episode": dict(ues_per_episode=20, slots_per_step=60, train_episodes=2, train_steps=4,
+                        eval_episodes=2, eval_steps=3),
+        "agent": dict(buffer_size=16, batch_size=4),
+    }
+    cfg = _rebuild(_load(args), sizes)
     with tempfile.TemporaryDirectory(prefix="dpwsim-selftest-") as tmp:
         tmp = Path(tmp)
         ckpt = run_training(cfg, tmp / "train")

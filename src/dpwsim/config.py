@@ -10,6 +10,7 @@ so on), and its ``int`` and ``float`` fields are the section's keys. A
 section's range rules live in its dataclass's ``__post_init__``, so
 :func:`load_config` checks a section by building it, once, from the preset
 and the INI values. The rules that span sections are in ``_check_ranges``.
+``_rebuild`` runs both, and is the one way to change a loaded config.
 Every refusal is a :class:`ConfigError`, raised before any simulation runs.
 
 Example::
@@ -247,23 +248,37 @@ def _check_ranges(cfg: SimConfig) -> None:
             f"ues_per_episode must be at least {MIN_PERCENTILE_SAMPLES} for the"
             f" throughput percentiles, got {ep.ues_per_episode}"
         )
+    # the agent clamps the thresholds to its bounds at the first action,
+    # even the do-nothing one
+    d, a = cfg.dpws, cfg.agent
+    if not a.zeta_min_db <= d.zeta_db <= a.zeta_max_db:
+        raise ConfigError(f"zeta_db {d.zeta_db} lies outside [zeta_min_db, zeta_max_db]"
+                          f" = [{a.zeta_min_db}, {a.zeta_max_db}]")
+    if d.xi_db > a.xi_max_db:
+        raise ConfigError(f"xi_db {d.xi_db} exceeds xi_max_db {a.xi_max_db}")
 
 
-def _build(cfg: SimConfig, profile: str, ini: dict) -> SimConfig:
-    """Set ``profile`` on ``cfg`` and build each section once, from its
-    current values overlaid first with the preset, then with ``ini``; the
-    section's dataclass checks the result."""
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r} (have {sorted(PROFILES)})")
-    cfg.profile = profile
+def _rebuild(cfg: SimConfig, values: dict) -> SimConfig:
+    """Build each section of ``cfg`` once, from its current values overlaid
+    with ``values[section]``; the section's dataclass checks the result,
+    then ``_check_ranges`` the rules across sections."""
     for name in _KEYS:
-        values = {**PROFILES[profile].get(name, {}), **ini.get(name, {})}
         try:
-            setattr(cfg, name, replace(getattr(cfg, name), **values))
+            setattr(cfg, name, replace(getattr(cfg, name), **values.get(name, {})))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     _check_ranges(cfg)
     return cfg
+
+
+def _build(cfg: SimConfig, profile: str, ini: dict) -> SimConfig:
+    """Set ``profile`` on ``cfg`` and rebuild it with each section's preset
+    values, then its ``ini`` values."""
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r} (have {sorted(PROFILES)})")
+    cfg.profile = profile
+    preset = PROFILES[profile]
+    return _rebuild(cfg, {name: {**preset.get(name, {}), **ini.get(name, {})} for name in _KEYS})
 
 
 def apply_profile(cfg: SimConfig, name: str) -> SimConfig:

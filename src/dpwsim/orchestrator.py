@@ -1,6 +1,9 @@
 """Episode runner: drops terminals, advances the cell one step at a time
-under the current switching parameters, aggregates KPIs, steps the learning
-agent and writes all run artifacts.
+under the thresholds a policy picks, aggregates KPIs, steps the learning
+agent and writes all run artifacts. Training, evaluation and both
+fixed-waveform baselines share one episode loop (``_episode``): the policy
+is epsilon-greedy while training, greedy in evaluation and absent in a
+baseline. One function (``_write_csv``) writes every CSV file of a run.
 
 The cell is a ``Cell`` of arrays over its terminals, and a step is an array
 program over (slot, terminal), run in blocks of slots: per block, the
@@ -26,13 +29,13 @@ import copy
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .agent import (
-    AgentConfig,
     QNetwork,
     ReplayBuffer,
     RewardSpec,
@@ -334,6 +337,8 @@ KPI_HEADER = (
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     # float() first: numpy >= 2 gives numpy scalars a repr like
     # "np.float64(1.5)", which no CSV reader parses as a number
     if isinstance(x, float):
@@ -341,8 +346,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
 class RunWriter:
-    """Owns one output directory and its CSV artifacts."""
+    """Owns one output directory and its CSV artifacts. The step rows of
+    ``kpi_steps.csv`` are kept until ``close`` writes them."""
 
     def __init__(self, outdir: str | Path, cfg: SimConfig, mode: str):
         self.dir = Path(outdir)
@@ -355,142 +368,56 @@ class RunWriter:
             "config": cfg.describe(),
         }
         (self.dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        self._kpi = open(self.dir / "kpi_steps.csv", "w", newline="")
-        self._kpi_csv = csv.writer(self._kpi)
-        self._kpi_csv.writerow(KPI_HEADER)
+        self._kpi_rows: list = []
 
     def kpi_row(self, episode: int, step: int, zeta: float, xi: float, report: CellKpiReport):
-        row = (
+        self._kpi_rows.append(
             [episode, step, zeta, xi, report.mean_gamma_db]
             + [int(c) for c in report.snr_hist.counts]
             + [int(c) for c in report.ta_hist.counts]
             + list(report.throughput.as_array())
         )
-        self._kpi_csv.writerow([_fmt(v) for v in row])
 
     def events(self, rows) -> None:
-        with open(self.dir / "switch_events.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["episode", "ue_id", "slot", "from_waveform", "to_waveform"])
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        header = ["episode", "ue_id", "slot", "from_waveform", "to_waveform"]
+        _write_csv(self.dir / "switch_events.csv", header, rows)
 
     def ue_samples(self, rows) -> None:
-        with open(self.dir / "ue_samples.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["episode", "ue_id", "distance_m", "final_waveform", "throughput_bps"])
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        header = ["episode", "ue_id", "distance_m", "final_waveform", "throughput_bps"]
+        _write_csv(self.dir / "ue_samples.csv", header, rows)
 
     def throughput_stats(self, stats: ThroughputStats) -> None:
-        with open(self.dir / "throughput_stats.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["factor", "throughput_bps"])
-            for name, value in zip(REWARD_FACTOR_IDS, stats.as_array()):
-                w.writerow([name, _fmt(float(value))])
+        rows = zip(REWARD_FACTOR_IDS, stats.as_array())
+        _write_csv(self.dir / "throughput_stats.csv", ["factor", "throughput_bps"], rows)
 
     def close(self) -> None:
-        self._kpi.close()
+        _write_csv(self.dir / "kpi_steps.csv", KPI_HEADER, self._kpi_rows)
 
 
 def _write_training_log(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "epsilon", "loss", "reward"])
-        for row in rows:
-            w.writerow(["" if v is None else _fmt(v) for v in row])
+    _write_csv(path, ["step", "epsilon", "loss", "reward"], rows)
 
 
 # ---------------------------------------------------------------------------
 # run modes
 
 
-def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
-    """Full training run; returns the checkpoint path."""
-    writer = RunWriter(outdir, cfg, "train")
-    rng = agent_rng(cfg.seed)
-    qnet = QNetwork(rng, cfg.agent)
-    averaged = copy.deepcopy(qnet)  # Polyak average of qnet, saved as the checkpoint
-    buffer = ReplayBuffer(cfg.agent.buffer_size)
-    reward_spec = RewardSpec(theta=cfg.agent.theta, clip=cfg.agent.reward_clip)
-    ep_cfg = cfg.episode
-    total_steps = ep_cfg.train_episodes * ep_cfg.train_steps
-    events: list = []
-    log_rows = []
-    global_step = 0
-    episode_rewards = []
-
-    for episode in range(ep_cfg.train_episodes):
-        streams = episode_streams(cfg.seed, STREAM_TRAIN, episode)
-        cell, fading = drop_ues(cfg, streams.drop)
-        zeta, xi = cfg.dpws.zeta_db, cfg.dpws.xi_db
-        prev_state = None
-        prev_stats = None
-        ep_reward = 0.0
-        policy = copy.deepcopy(qnet)  # acts for this whole episode
-        for step in range(ep_cfg.train_steps):
-            eps = epsilon_at(
-                global_step, total_steps, cfg.agent.epsilon_start, cfg.agent.epsilon_min
-            )
-            action = None
-            if step > 0:
-                action = select_action(policy, prev_state, eps, rng)
-                zeta, xi = decode_action(action, zeta, xi, cfg.agent)
-            report, fading = simulate_step(
-                cell,
-                fading,
-                zeta,
-                xi,
-                cfg,
-                streams,
-                events=events,
-                episode=episode,
-                slot_offset=step * ep_cfg.slots_per_step,
-            )
-            state = build_state(report, zeta, xi)
-            reward = None
-            loss = None
-            if step > 0:
-                reward = compute_reward(prev_stats, report.throughput, reward_spec)
-                buffer.push(prev_state, action, reward, state)
-                loss = train_step(qnet, buffer, rng)
-                averaged.track(qnet)
-                ep_reward += reward
-            writer.kpi_row(episode, step, zeta, xi, report)
-            log_rows.append((global_step, eps, loss, reward))
-            prev_state = state
-            prev_stats = report.throughput
-            global_step += 1
-        episode_rewards.append(ep_reward)
-
-    ckpt = writer.dir / "checkpoint.txt"
-    averaged.save(ckpt)
-    writer.events(events)
-    _write_training_log(writer.dir / "training_log.csv", log_rows)
-    with open(writer.dir / "episode_rewards.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "total_reward"])
-        for i, r in enumerate(episode_rewards):
-            w.writerow([i, _fmt(r)])
-    writer.close()
-    return ckpt
-
-
-def _policy_episode(
-    cfg: SimConfig, episode: int, qnet: QNetwork | None, fixed_waveform: str | None
-):
-    """One greedy-policy (``qnet``) or fixed-waveform episode; returns (kpi
-    rows, per-terminal final-step samples, switch events)."""
-    streams = episode_streams(cfg.seed, STREAM_EVAL, episode)
+def _episode(cfg: SimConfig, lane: int, episode: int, steps: int, events: list,
+             policy: QNetwork | None = None, epsilon=lambda step: 0.0,
+             rng: np.random.Generator | None = None, fixed_waveform: str | None = None):
+    """One episode on the streams of (``lane``, ``episode``), its switches
+    appended to ``events``; yields (step, action, zeta, xi, report, state,
+    cell) per step. From step 1 on, ``policy`` picks the action from the
+    last state at ``epsilon(step)``. With no policy the thresholds stay at
+    their defaults; with ``fixed_waveform`` no terminal switches."""
+    streams = episode_streams(cfg.seed, lane, episode)
     cell, fading = drop_ues(cfg, streams.drop)
     cell.is_df[:] = fixed_waveform == DFT_S_OFDM
     zeta, xi = cfg.dpws.zeta_db, cfg.dpws.xi_db
-    events: list = []
-    rows = []
-    prev_state = None
-    for step in range(cfg.episode.eval_steps):
-        if step > 0 and qnet is not None:
-            action = int(np.argmax(qnet.forward(prev_state)))
+    action = state = None
+    for step in range(steps):
+        if step > 0 and policy is not None:
+            action = select_action(policy, state, epsilon(step), rng)
             zeta, xi = decode_action(action, zeta, xi, cfg.agent)
         report, fading = simulate_step(
             cell,
@@ -504,8 +431,72 @@ def _policy_episode(
             episode=episode,
             slot_offset=step * cfg.episode.slots_per_step,
         )
-        if qnet is not None:
-            prev_state = build_state(report, zeta, xi)
+        if policy is not None:
+            state = build_state(report, zeta, xi)
+        yield step, action, zeta, xi, report, state, cell
+
+
+def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
+    """Full training run; returns the checkpoint path."""
+    writer = RunWriter(outdir, cfg, "train")
+    ep_cfg, agent = cfg.episode, cfg.agent
+    rng = agent_rng(cfg.seed)
+    qnet = QNetwork(rng, agent)
+    averaged = copy.deepcopy(qnet)  # Polyak average of qnet, saved as the checkpoint
+    buffer = ReplayBuffer(agent.buffer_size)
+    reward_spec = RewardSpec(theta=agent.theta, clip=agent.reward_clip)
+    total_steps = ep_cfg.train_episodes * ep_cfg.train_steps
+    events: list = []
+    log_rows = []
+    episode_rewards = []
+
+    def epsilon(step):  # at step ``step`` of the current episode
+        global_step = episode * ep_cfg.train_steps + step
+        return epsilon_at(global_step, total_steps, agent.epsilon_start, agent.epsilon_min)
+
+    for episode in range(ep_cfg.train_episodes):
+        ep_reward = 0.0
+        policy = copy.deepcopy(qnet)  # acts for this whole episode
+        records = _episode(
+            cfg, STREAM_TRAIN, episode, ep_cfg.train_steps, events, policy, epsilon, rng
+        )
+        for step, action, zeta, xi, report, state, _ in records:
+            reward = loss = None
+            if step > 0:
+                reward = compute_reward(prev_stats, report.throughput, reward_spec)
+                buffer.push(prev_state, action, reward, state)
+                loss = train_step(qnet, buffer, rng)
+                averaged.track(qnet)
+                ep_reward += reward
+            writer.kpi_row(episode, step, zeta, xi, report)
+            log_rows.append((episode * ep_cfg.train_steps + step, epsilon(step), loss, reward))
+            prev_state = state
+            prev_stats = report.throughput
+        episode_rewards.append(ep_reward)
+
+    ckpt = writer.dir / "checkpoint.txt"
+    averaged.save(ckpt)
+    writer.events(events)
+    _write_training_log(writer.dir / "training_log.csv", log_rows)
+    _write_csv(
+        writer.dir / "episode_rewards.csv", ["episode", "total_reward"], enumerate(episode_rewards)
+    )
+    writer.close()
+    return ckpt
+
+
+def _policy_episode(
+    cfg: SimConfig, episode: int, qnet: QNetwork | None, fixed_waveform: str | None
+):
+    """One greedy-policy (``qnet``) or fixed-waveform episode; returns (kpi
+    rows, per-terminal final-step samples, switch events)."""
+    events: list = []
+    rows = []
+    records = _episode(
+        cfg, STREAM_EVAL, episode, cfg.episode.eval_steps, events, qnet,
+        fixed_waveform=fixed_waveform,
+    )
+    for step, _, zeta, xi, report, _, cell in records:
         rows.append((episode, step, zeta, xi, report))
     # the terminals that carried data in the last step
     ue_id = np.flatnonzero(cell.bearing_slots > 0)
@@ -530,21 +521,14 @@ def _run_policy(
     # the pool forks all its workers at the first submit, so size it by
     # the work there is
     jobs = min(jobs, len(episodes))
+    run = partial(_policy_episode, cfg, qnet=qnet, fixed_waveform=fixed_waveform)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _policy_episode,
-                    [cfg] * len(episodes),
-                    episodes,
-                    [qnet] * len(episodes),
-                    [fixed_waveform] * len(episodes),
-                )
-            )
+            results = list(pool.map(run, episodes))
     else:
-        results = [_policy_episode(cfg, ep, qnet, fixed_waveform) for ep in episodes]
+        results = list(map(run, episodes))
 
     all_events: list = []
     all_samples: list = []
@@ -609,8 +593,4 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
 
 
 def write_comparison(path: str | Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["factor", "a_bps", "b_bps", "gain_pct", "gain_mbps"])
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(path, ["factor", "a_bps", "b_bps", "gain_pct", "gain_mbps"], rows)

@@ -124,6 +124,9 @@ class TestConfig:
             ("[agent]\nlearning_rate = 0\n", "learning_rate"),
             ("[agent]\ntheta = -50\n", "theta"),
             ("[agent]\nreward_clip = -1\n", "reward_clip"),
+            ("[dpws]\nzeta_db = 40\n", "zeta_db"),
+            ("[dpws]\nxi_db = 12\n", "xi_db"),
+            ("[agent]\nzeta_max_db = -1\n", "zeta_max_db"),
             ("[mcs]\ntable = nan:0.5, 4.0:1.5\n", "nan:0.5"),
             ("[power]\nmpr_db = cp-ofdm:3.0, dft-s-ofdm/qpsk:1.0\n", "cp-ofdm:3.0"),
         ],
@@ -411,6 +414,19 @@ class TestCliCommands:
 
     def test_selftest(self, tmp_path):
         assert main(["selftest", "--seed", "6"]) == EXIT_OK
+
+    def test_selftest_checks_its_own_sizes(self, tmp_path, capsys, monkeypatch):
+        # a 100-slot guard fits the desk step of 400 slots, not the
+        # selftest's step of 60
+        path = tmp_path / "guard.ini"
+        path.write_text("[run]\nprofile = desk\n[dpws]\nguard_slots = 100\n")
+        assert load_config(path).dpws.guard_slots == 100
+        monkeypatch.setattr(
+            "dpwsim.cli.run_training", lambda *args: pytest.fail("the smoke run started")
+        )
+        assert main(["selftest", "--config", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "guard_slots" in out.err and out.out == ""
 
 
 def test_cli_import_leaves_scipy_unloaded():

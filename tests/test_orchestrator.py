@@ -264,16 +264,22 @@ class TestRuns:
         for distances in shared:
             assert len(set(distances)) == 1, distances
 
-    def test_parallel_jobs_match_sequential(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["baseline", "evaluate"])
+    def test_parallel_jobs_match_sequential(self, tmp_path, mode):
         cfg = tiny_cfg(seed=25)
-        run_baseline(cfg, tmp_path / "s", CP_OFDM, jobs=1)
-        run_baseline(cfg, tmp_path / "p", CP_OFDM, jobs=2)
-        assert (tmp_path / "s" / "kpi_steps.csv").read_bytes() == (
-            tmp_path / "p" / "kpi_steps.csv"
-        ).read_bytes()
-        assert (tmp_path / "s" / "ue_samples.csv").read_bytes() == (
-            tmp_path / "p" / "ue_samples.csv"
-        ).read_bytes()
+        if mode == "evaluate":
+            ckpt = run_training(cfg, tmp_path / "train")
+        for jobs in (1, 2):  # two episodes: at most two worker processes
+            out = tmp_path / f"jobs{jobs}"
+            if mode == "evaluate":
+                run_evaluation(cfg, out, ckpt, jobs=jobs)
+            else:
+                run_baseline(cfg, out, CP_OFDM, jobs=jobs)
+        for name in ("kpi_steps.csv", "switch_events.csv", "ue_samples.csv",
+                     "throughput_stats.csv"):
+            assert (tmp_path / "jobs1" / name).read_bytes() == (
+                tmp_path / "jobs2" / name
+            ).read_bytes(), name
 
 
 class TestComparison:
