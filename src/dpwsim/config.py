@@ -175,11 +175,10 @@ _KEYS = {
     for section in fields(SimConfig)
     if section.default_factory is not MISSING
 }
-# INI keys parsed by load_config itself; [power] dfts_snr_penalty_db is the
-# older home of the [cell] key, and the two may not be given together
+# INI keys parsed by load_config itself
 _OTHER_KEYS = {
     "run": {"profile", "seed"},
-    "power": {"mpr_db", "dfts_snr_penalty_db"},
+    "power": {"mpr_db"},
     "mcs": {"table"},
 }
 
@@ -214,8 +213,7 @@ def _mpr_key(text: str) -> tuple[str, str]:
 
 
 def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
-    """Refuse sections and keys that nothing reads, such as misspellings,
-    and the penalty key given in both of its homes."""
+    """Refuse sections and keys that nothing reads, such as misspellings."""
     for name in parser.sections():
         known = set(_KEYS.get(name, ())) | _OTHER_KEYS.get(name, set())
         if not known:
@@ -223,11 +221,6 @@ def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
         for key in parser[name]:
             if key not in known:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{name}]")
-    key = "dfts_snr_penalty_db"
-    if all(parser.has_option(name, key) for name in ("cell", "power")):
-        raise ConfigError(
-            f"{path}: {key!r} is set in both [cell] and [power]; keep the [cell] one"
-        )
 
 
 def _check_ranges(cfg: SimConfig) -> None:
@@ -310,9 +303,6 @@ def load_config(path: str | Path | None = None, profile: str | None = None,
         }
         for name, keys in _KEYS.items()
     }
-    if parser.has_option("power", "dfts_snr_penalty_db"):
-        key = "dfts_snr_penalty_db"
-        ini["cell"][key] = _number(_finite, key, parser["power"][key])
     if parser.has_option("power", "mpr_db"):
         ini["power"]["mpr_db"] = dict(
             _items(parser["power"]["mpr_db"], _mpr_key, "waveform/mod:dB")

@@ -17,12 +17,15 @@ Conventions used throughout:
   ``(..., n)`` gives one symbol per leading index, equal sample for sample
   to generating each row on its own. The PAPR ensemble uses this to
   transform chunks of :data:`PAPR_CHUNK_BLOCKS` symbols at a time.
-- :func:`measure_papr` takes one percentile or a sequence of them; a
-  sequence shares one power, mean and quantile pass over the signal.
+- :func:`measure_papr` and :func:`papr_ensemble` take one percentile or a
+  sequence of them; a sequence shares one power, mean and quantile pass
+  over the signal. The ensemble keeps only the envelope power, 8 bytes a
+  sample, and never holds its complex signal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 # Symbols the PAPR ensemble generates per transform call: large enough that
 # per-call overhead vanishes, small enough that the chunk's temporaries stay
-# far below the size of the ensemble signal itself.
+# far below the size of the ensemble's envelope power.
 PAPR_CHUNK_BLOCKS = 256
 
 
@@ -93,7 +96,12 @@ def qam16_symbols(n, rng: np.random.Generator) -> np.ndarray:
     call in turn."""
     shape = tuple(np.atleast_1d(n))
     idx = rng.integers(0, 4, size=shape[:-1] + (2,) + shape[-1:])
-    return _QAM16_LEVELS[idx[..., 0, :]] + 1j * _QAM16_LEVELS[idx[..., 1, :]]
+    # equal to re + 1j*im: 1j*im adds only a real part of +-0 to a nonzero
+    # level, and the two complex temporaries of that sum are not made
+    out = np.empty(shape, dtype=complex)
+    out.real = _QAM16_LEVELS[idx[..., 0, :]]
+    out.imag = _QAM16_LEVELS[idx[..., 1, :]]
+    return out
 
 
 def _map_subcarriers(values: np.ndarray, grid: OfdmGrid) -> np.ndarray:
@@ -163,6 +171,35 @@ def rapp_amplify(pa: RappPa, sample) -> np.ndarray | complex:
     return complex(out) if np.isscalar(sample) or out.ndim == 0 else out
 
 
+def _levels(percentile) -> np.ndarray:
+    """``percentile`` as an array of levels, each in (0, 1)."""
+    levels = np.asarray(percentile, dtype=float)
+    if levels.size == 0 or levels.ndim > 1:
+        raise ValueError(f"need one percentile or a flat sequence of them, got {percentile!r}")
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
+    return levels
+
+
+def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
+    """PAPR in dB of the 1-D envelope power ``power`` at ``levels`` (see
+    :func:`measure_papr`). Partitions ``power`` in place: its mean is taken
+    first, and a copy would double the memory of the largest array here."""
+    if power.size == 0:
+        raise ValueError("empty signal")
+    mean = power.mean()
+    # power is non-negative, so a NaN or infinite sample makes the mean
+    # non-finite too
+    if not np.isfinite(mean):
+        raise ValueError("signal has non-finite samples")
+    if mean == 0.0:
+        raise ValueError("all-zero signal has no defined PAPR")
+    peaks = np.quantile(power, levels, method="inverted_cdf", overwrite_input=True)
+    if levels.ndim == 0:
+        return float(10.0 * np.log10(peaks / mean))
+    return [float(10.0 * np.log10(peak / mean)) for peak in peaks]
+
+
 def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
     """Peak-to-average power ratio in dB at the given envelope percentile.
 
@@ -176,29 +213,10 @@ def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
     levels, which gives a list of floats in the same order from one pass
     over the signal. A signal with a non-finite sample is refused.
     """
-    levels = np.asarray(percentile, dtype=float)
-    x = np.asarray(signal, dtype=complex).reshape(-1)
-    if x.size == 0:
-        raise ValueError("empty signal")
-    if levels.size == 0 or levels.ndim > 1:
-        raise ValueError(f"need one percentile or a flat sequence of them, got {percentile!r}")
-    if not np.all((levels > 0.0) & (levels < 1.0)):
-        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-    power = np.abs(x)
+    levels = _levels(percentile)
+    power = np.abs(np.asarray(signal, dtype=complex).reshape(-1))
     np.square(power, out=power)
-    mean = power.mean()
-    # power is non-negative, so a NaN or infinite sample makes the mean
-    # non-finite too
-    if not np.isfinite(mean):
-        raise ValueError("signal has non-finite samples")
-    if mean == 0.0:
-        raise ValueError("all-zero signal has no defined PAPR")
-    # partitions power in place: its mean is taken and the copy would double
-    # the memory of the largest array here
-    peaks = np.quantile(power, levels, method="inverted_cdf", overwrite_input=True)
-    if levels.ndim == 0:
-        return float(10.0 * np.log10(peaks / mean))
-    return [float(10.0 * np.log10(peak / mean)) for peak in peaks]
+    return _papr_db(power, levels)
 
 
 def papr_ensemble_signal(
@@ -209,17 +227,17 @@ def papr_ensemble_signal(
     n_subcarriers: int = 256,
     n_data: int = 240,
     oversample: int = 1,
-) -> np.ndarray:
-    """Concatenated time signal of ``n_blocks`` independent symbols of one
-    waveform, for ensemble PAPR statistics.
+) -> Iterator[np.ndarray]:
+    """Time signals of ``n_blocks`` independent symbols of one waveform, for
+    ensemble PAPR statistics, yielded in chunks: ``(rows, N)`` arrays of at
+    most :data:`PAPR_CHUNK_BLOCKS` symbols each.
 
     Oversampling is realised by enlarging the IDFT while keeping the
     occupied band fixed, i.e. frequency-domain zero padding. Critical
     sampling (the default) understates the analog envelope somewhat.
 
-    The blocks are drawn and transformed :data:`PAPR_CHUNK_BLOCKS` at a
-    time; the symbols, the signal and the final state of ``rng`` equal
-    those of drawing and transforming one block after the other.
+    The chunks, concatenated, and the final state of ``rng`` equal those of
+    drawing and transforming one block after the other.
     """
     if waveform not in ("cp-ofdm", "dft-s-ofdm"):
         raise ValueError(f"unknown waveform {waveform!r}")
@@ -230,29 +248,41 @@ def papr_ensemble_signal(
         n_tx=1,
     )
     draw = {"qpsk": qpsk_symbols, "16qam": qam16_symbols}[modulation]
-    blocks = np.empty((n_blocks, grid.n_subcarriers), dtype=complex)
     for start in range(0, n_blocks, PAPR_CHUNK_BLOCKS):
-        stop = min(start + PAPR_CHUNK_BLOCKS, n_blocks)
-        d = draw((stop - start, n_data), rng)
+        d = draw((min(PAPR_CHUNK_BLOCKS, n_blocks - start), n_data), rng)
         if waveform == "cp-ofdm":
-            blocks[start:stop] = generate_cp_ofdm(d, np.ones(1), grid)[..., 0]
+            yield generate_cp_ofdm(d, np.ones(1), grid)[..., 0]
         else:
-            blocks[start:stop] = generate_dft_s_ofdm(d, grid)
-    return blocks.reshape(-1)
+            yield generate_dft_s_ofdm(d, grid)
 
 
 def papr_ensemble(
     waveform: str,
     modulation: str,
     n_blocks: int,
-    percentile: float,
+    percentile,
     rng: np.random.Generator,
     n_subcarriers: int = 256,
     n_data: int = 240,
     oversample: int = 1,
-) -> float:
-    """Ensemble PAPR at one percentile; see :func:`papr_ensemble_signal`."""
-    sig = papr_ensemble_signal(
+) -> float | list[float]:
+    """Ensemble PAPR of :func:`papr_ensemble_signal` at one level or a
+    sequence of levels, as :func:`measure_papr` gives it.
+
+    Each chunk is reduced to its envelope power as it comes, so only one
+    ``(n_blocks, N)`` float buffer is held, never the complex ensemble. The
+    result equals ``measure_papr`` of the concatenated chunks bit for bit:
+    ``abs`` and ``square`` work element by element, and the mean and the
+    quantile run over the same contiguous 1-D array.
+    """
+    levels = _levels(percentile)
+    power = np.empty((n_blocks, n_subcarriers * oversample))
+    start = 0
+    for chunk in papr_ensemble_signal(
         waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample
-    )
-    return measure_papr(sig, percentile)
+    ):
+        rows = power[start : start + len(chunk)]
+        np.abs(chunk, out=rows)
+        np.square(rows, out=rows)
+        start += len(chunk)
+    return _papr_db(power.reshape(-1), levels)

@@ -105,7 +105,7 @@ class TestConfig:
             ("[cell]\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
             ("[cell]\nmax_distance_m = inf\n", "max_distance_m"),
             ("[dpws]\nzeta_db = -inf\n", "zeta_db"),
-            ("[power]\ndfts_snr_penalty_db = nan\n", "dfts_snr_penalty_db"),
+            ("[cell]\ndfts_snr_penalty_db = nan\n", "dfts_snr_penalty_db"),
             ("[cell]\nmin_distance_m = 0\n", "min_distance_m"),
             ("[cell]\nshadowing_sigma_db = -1\n", "shadowing_sigma_db"),
             ("[cell]\nn_rb = 0\n", "n_rb"),
@@ -162,6 +162,7 @@ class TestConfig:
             ("[dpws]\ncountr = 3\n", ("[dpws]", "countr")),
             ("[power]\np0 = -60\n", ("[power]", "p0")),
             ("[epsiode]\ntrain_steps = 3\n", ("[epsiode]",)),
+            ("[power]\ndfts_snr_penalty_db = 1.1\n", ("[power]", "dfts_snr_penalty_db")),
         ],
     )
     def test_unknown_sections_and_keys_exit_2(self, tmp_path, capsys, body, words):
@@ -171,27 +172,6 @@ class TestConfig:
         assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert all(word in err for word in words)
-        assert not out.exists()
-
-    def test_power_penalty_alias_still_accepted(self, tmp_path):
-        path = tmp_path / "c.ini"
-        path.write_text("[power]\ndfts_snr_penalty_db = 1.1\n")
-        assert load_config(path).cell.dfts_snr_penalty_db == 1.1
-
-    def test_penalty_in_both_sections_exits_2_before_any_work(self, tmp_path, capsys):
-        # the old spelling used to win silently over the [cell] key
-        path = tmp_path / "both.ini"
-        path.write_text(
-            "[run]\nprofile = ci\n"
-            "[cell]\ndfts_snr_penalty_db = 1.0\n"
-            "[power]\ndfts_snr_penalty_db = 2.0\n"
-        )
-        with pytest.raises(ConfigError, match="dfts_snr_penalty_db"):
-            load_config(path)
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert all(word in err for word in ("dfts_snr_penalty_db", "[cell]", "[power]"))
         assert not out.exists()
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
