@@ -23,11 +23,11 @@ Two behaviors worth calling out:
 
 ``on_srs`` steps one terminal through one reception and keeps the timer,
 as the machine is specified. The simulator runs ``on_srs_block``, which
-takes all terminals through all soundings of a slot block at once and works
-once per switch rather than once per sounding. It keeps no timer, by the
-second point above: ``t == c`` always, so the window never binds and a
-terminal's counter at any sounding is just the length of its current run
-of occasions.
+takes all terminals through all soundings of a step at once and works
+once per switch in each window of soundings rather than once per sounding.
+It keeps no timer, by the second point above: ``t == c`` always, so the
+window ``T`` never binds and a terminal's counter at any sounding is just
+the length of its current run of occasions.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .link_model import CP_OFDM, DFT_S_OFDM
+
+# soundings per window of on_srs_block (not the timer window T)
+WINDOW_SOUNDINGS = 64
 
 
 @dataclass
@@ -108,7 +111,7 @@ def on_srs_block(
     sounding_slots: np.ndarray,
     cfg: DpwsConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``on_srs`` over a block of soundings for many terminals at once.
+    """``on_srs`` over a run of soundings for many terminals at once.
 
     ``gamma_db`` holds the sounding SNR as (sounding, terminal), and
     ``sounding_slots`` the increasing slots of its rows. ``is_df`` marks the
@@ -116,12 +119,16 @@ def on_srs_block(
     terminal hears the soundings at or after its ``guard_end`` slot; a
     switch at slot s sets ``guard_end`` to s + 1 + ``cfg.guard_slots``.
 
-    The block is processed once per switch, not once per sounding: from a
+    The soundings are taken in windows of ``WINDOW_SOUNDINGS`` rows, and a
+    window is processed once per switch, not once per sounding: from a
     terminal's first heard sounding, its run of consecutive occasions is
     the distance to the last sounding that broke the run, plus the carried
     ``c`` while none has. The first sounding where the run reaches the
     counter is the switch; the terminal then starts over from the first
     sounding after its new guard, on the other waveform with ``c = 0``.
+    ``is_df``, ``c`` and ``guard_end`` carry from one window to the next.
+    Each pass runs over every row of its window, so the window, not the
+    length of the call, bounds what a switch costs.
 
     There is no timer: it would equal the counter (see the module
     docstring), so the window never binds. Returns the new (is_df, c,
@@ -130,33 +137,36 @@ def on_srs_block(
     """
     c = np.array(c, dtype=np.int64)
     is_df, guard_end = is_df.copy(), np.array(guard_end, dtype=np.int64)
-    n_snd = len(sounding_slots)
-    below = gamma_db < cfg.zeta_db
-    above = gamma_db > cfg.zeta_db + cfg.xi_db
-    rows = np.arange(n_snd)[:, None]
-    first = np.searchsorted(sounding_slots, guard_end)
-    todo = np.flatnonzero(first < n_snd)
     sw_snd, sw_ue = [], []
-    while todo.size:
-        k0 = first[todo]
-        occasion = np.where(is_df[todo], above[:, todo], below[:, todo])
-        heard = rows >= k0
-        # the last sounding at or before each row that broke the run: a
-        # miss, or a sounding not heard
-        broke = np.maximum.accumulate(np.where(occasion & heard, -1, rows), axis=0)
-        run = rows - broke + np.where(broke < k0, c[todo], 0)
-        hit = heard & (run >= cfg.counter)
-        switched = hit.any(axis=0)
-        stay = ~switched
-        c[todo[stay]] = run[-1, stay]
-        todo, k = todo[switched], hit.argmax(axis=0)[switched]
-        sw_snd.append(k)
-        sw_ue.append(todo)
-        is_df[todo] = ~is_df[todo]
-        c[todo] = 0
-        guard_end[todo] = sounding_slots[k] + 1 + cfg.guard_slots
-        first[todo] = np.searchsorted(sounding_slots, guard_end[todo])
-        todo = todo[first[todo] < n_snd]
+    for w0 in range(0, len(sounding_slots), WINDOW_SOUNDINGS):
+        slots = sounding_slots[w0:w0 + WINDOW_SOUNDINGS]
+        gamma = gamma_db[w0:w0 + WINDOW_SOUNDINGS]
+        below = gamma < cfg.zeta_db
+        above = gamma > cfg.zeta_db + cfg.xi_db
+        n_snd = len(slots)
+        rows = np.arange(n_snd)[:, None]
+        first = np.searchsorted(slots, guard_end)
+        todo = np.flatnonzero(first < n_snd)
+        while todo.size:
+            k0 = first[todo]
+            occasion = np.where(is_df[todo], above[:, todo], below[:, todo])
+            heard = rows >= k0
+            # the last sounding at or before each row that broke the run: a
+            # miss, or a sounding not heard
+            broke = np.maximum.accumulate(np.where(occasion & heard, -1, rows), axis=0)
+            run = rows - broke + np.where(broke < k0, c[todo], 0)
+            hit = heard & (run >= cfg.counter)
+            switched = hit.any(axis=0)
+            stay = ~switched
+            c[todo[stay]] = run[-1, stay]
+            todo, k = todo[switched], hit.argmax(axis=0)[switched]
+            sw_snd.append(w0 + k)
+            sw_ue.append(todo)
+            is_df[todo] = ~is_df[todo]
+            c[todo] = 0
+            guard_end[todo] = slots[k] + 1 + cfg.guard_slots
+            first[todo] = np.searchsorted(slots, guard_end[todo])
+            todo = todo[first[todo] < n_snd]
     sw_snd = np.concatenate(sw_snd) if sw_snd else np.zeros(0, dtype=np.int64)
     sw_ue = np.concatenate(sw_ue) if sw_ue else np.zeros(0, dtype=np.int64)
     order = np.lexsort((sw_ue, sw_snd))

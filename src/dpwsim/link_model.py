@@ -5,7 +5,7 @@ SNR-to-throughput (AMC) mapping.
 All powers are handled in dBm internally; the thermal-noise formula is
 stated in dBW and converted once at evaluation. Operations accept numpy
 arrays wherever broadcasting makes sense, so the orchestrator evaluates a
-whole block of (slot, terminal) pairs in one call. The gains work on
+whole step of (slot, terminal) pairs in one call. The gains work on
 (slot, terminal) slabs ``h[..., i, j]`` of the channel, and the AMC mapping
 is one search into a rate table; both avoid passes over short trailing
 axes, which cost more per element than the arithmetic.
@@ -167,15 +167,24 @@ def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: 
     whose last entry is the final state.
 
     The noise of all slots comes from one draw, laid out so that it equals
-    one ``draw_fading(h.shape, rng)`` per slot. ``rho == 1`` freezes the
-    state and draws nothing.
+    one ``draw_fading(h.shape, rng)`` per slot, and is scaled in place on
+    its real and imaginary parts, so a long trajectory holds only the draw
+    and the result, not three complex temporaries of its size as well.
+    ``rho == 1`` freezes the state and draws nothing.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if rho == 1.0:
         return np.repeat(h[np.newaxis], n_slots, axis=0)
     z = rng.standard_normal((n_slots, 2) + h.shape)
-    out = np.sqrt(1.0 - rho * rho) * ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    out = np.empty((n_slots,) + h.shape, dtype=complex)
+    out.real, out.imag = z[:, 0], z[:, 1]
+    # sqrt(1-rho^2) * (z_re + 1j*z_im) / sqrt(2) on the real and imaginary
+    # parts, rounded as numpy's complex arithmetic rounds it: dividing by a
+    # real scales each part by 1/sqrt(2), then each part is scaled
+    parts = out.view(np.float64)
+    parts *= 1.0 / np.sqrt(2.0)
+    parts *= np.sqrt(1.0 - rho * rho)
     for state in out:  # each slot's noise term becomes its state, in place
         state += rho * h
         h = state

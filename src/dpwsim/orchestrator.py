@@ -5,15 +5,13 @@ fixed-waveform baselines share one episode loop (``_episode``): the policy
 is epsilon-greedy while training, greedy in evaluation and absent in a
 baseline. One function (``_write_csv``) writes every CSV file of a run.
 
-The cell is a ``Cell`` of arrays over its terminals, and a step is an array
-program over (slot, terminal), run in blocks of slots: per block, the
-fading trajectory, the gains and the SNR budgets come from a fixed number
-of numpy calls, the switching machine runs over all of the block's
-soundings at once with one pass per switch (``dpws_fsm.on_srs_block``),
-and the throughput mapping runs once. The sounding statistics (mean
-gamma, timing-advance draw, KPI binning) run once per step over the
-soundings of all blocks. The slot-by-slot loop it replaces is kept as a
-test oracle (``tests/step_reference.py``); both give identical outputs.
+The cell is a ``Cell`` of arrays over its terminals, and a step is one
+array program over (slot, terminal): the fading trajectory, the gains, the
+SNR budgets, the throughput mapping and the sounding statistics each come
+from a fixed number of numpy calls over the whole step, and the switching
+machine takes all of its soundings in one call. The slot-by-slot loop it
+replaces is kept as a test oracle (``tests/step_reference.py``); both give
+identical outputs.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -28,6 +26,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -79,9 +78,6 @@ from .link_model import (
 
 # substream labels under the run seed
 STREAM_TRAIN, STREAM_EVAL, STREAM_AGENT, STREAM_PAPR = 0, 1, 2, 3
-
-# slots per block of the step kernel's channel arrays; bounds its working set
-BLOCK_SLOTS = 128
 
 
 @dataclass
@@ -164,23 +160,16 @@ def simulate_step(
 ) -> tuple[CellKpiReport, np.ndarray]:
     """Advance one step (slots_per_step slots) and aggregate its KPIs.
 
-    The step is an array program over (slot, terminal), run block by
-    block of ``BLOCK_SLOTS`` slots to bound its working set. Fading evolves
+    The step is one array program over (slot, terminal). Fading evolves
     every slot for every terminal regardless of switching decisions, so the
     channel trace and the sounding SNR gamma do not depend on the policy;
-    each block computes them first. The switching machine then runs over
-    the block's soundings for all terminals at once, and its switches give
-    the per-slot waveform and guard masks. Last come the SNR budgets, each
-    only if some slot of the block is on its waveform (a fixed-waveform
-    baseline never computes the other one), and one throughput mapping of
-    the block. The gains are elementwise passes over (slot, terminal)
-    slabs of the trajectory (see ``link_model.precoded_gain``).
-
-    Each block keeps the gamma and heard-terminal rows of the soundings
-    that hear anyone. After the last block the step sums gamma over them,
-    draws their timing-advance jitter in one draw (the same numbers, in the
-    same order, as one draw per block) and bins SNR and timing advance
-    once.
+    they come first. The switching machine then takes all the step's
+    soundings in one call (``dpws_fsm.on_srs_block``, which bounds its own
+    passes), and its switches give the per-slot waveform and guard masks.
+    Last come the SNR budgets, each only if some slot is on its waveform (a
+    fixed-waveform baseline never computes the other one), and one
+    throughput mapping. The gains are elementwise passes over (slot,
+    terminal) slabs of the trajectory (see ``link_model.precoded_gain``).
 
     Reads the switching state from ``cell`` and writes back the new state
     and the step's per-terminal outcomes; returns the report and the
@@ -196,104 +185,72 @@ def simulate_step(
     pl = cell.path_loss_db
     p_cp = transmit_power(cfg.power, pl, CP_OFDM)
     p_df = transmit_power(cfg.power, pl, DFT_S_OFDM)
+    slots = np.arange(n_slots)
+    sounding_slots = slots[::period]
 
-    # switching state; a terminal is silent while slot < guard_end, and a
-    # switch at slot s silences slots s+1..s+guard
-    is_df, c, guard_end = cell.is_df, cell.c, cell.guard_end
+    # channel and sounding SNR gamma. gamma uses a waveform-independent
+    # power reference (the multi-port cap), so a switch does not shift
+    # gamma by the back-off gap and thresholds compare like with like.
+    traj = evolve_fading(fading, cell_cfg.fading_rho, streams.fading, n_slots)
+    gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
 
-    tp_slots = np.empty((n_slots, n))
-    bearing = np.zeros(n, dtype=np.int64)
-    outage_ct = np.zeros(n, dtype=np.int64)
-    guard_ct = np.zeros(n, dtype=np.int64)
-    gamma_rows, heard_rows = [], []
-    if trace is not None:
-        trace["is_df"] = np.empty((n_slots, n), dtype=bool)
-        trace["silent"] = np.empty((n_slots, n), dtype=bool)
-        trace["tp"] = tp_slots
+    # switching machine over the step's soundings, then the per-slot masks
+    # from its switches: a terminal is silent while slot < guard_end, and a
+    # switch at slot s toggles the waveform from row s+1 on and silences
+    # the rows before its guard end. The last of the n_slots + 1 rows is
+    # the state after the step.
+    is_df, c, guard_end, sw_snd = cell.is_df, cell.c, cell.guard_end, ()
+    if dpws_enabled:
+        is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
+            is_df, c, guard_end, gamma, sounding_slots, dpws_cfg
+        )
+    if len(sw_snd):
+        sw_slot = sounding_slots[sw_snd]
+        row = sw_slot + 1
+        toggles = np.zeros((n_slots + 1, n), dtype=bool)
+        toggles[0] = cell.is_df
+        toggles[row, sw_ue] = True
+        df_rows = np.logical_xor.accumulate(toggles, axis=0)
+        ends = np.zeros((n_slots + 1, n), dtype=np.int64)
+        ends[0] = cell.guard_end
+        ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
+        is_df_slots = df_rows[:-1]
+        silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
+        if events is not None:
+            to_df = df_rows[row, sw_ue].tolist()
+            for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
+                frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
+                events.append((episode, i, slot_offset + slot, frm, to))
+    else:
+        is_df_slots = np.broadcast_to(is_df, (n_slots, n))
+        silent = slots[:, None] < guard_end
 
-    # slot blocks start on sounding slots
-    block = period * max(1, BLOCK_SLOTS // period)
-    h = fading
-    for b0 in range(0, n_slots, block):
-        b1 = min(b0 + block, n_slots)
-        slots = np.arange(b0, b1)
-        sounding_slots = slots[::period]
-
-        # channel and sounding SNR gamma. gamma uses a waveform-independent
-        # power reference (the multi-port cap), so a switch does not shift
-        # gamma by the back-off gap and thresholds compare like with like.
-        traj = evolve_fading(h, cell_cfg.fading_rho, streams.fading, b1 - b0)
-        h = traj[-1]
-        gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
-
-        # switching machine over the block's soundings, then the per-slot
-        # masks from its switches: a switch at slot s toggles the waveform
-        # from row s+1 on and silences the rows before its guard end. The
-        # last of the b1 - b0 + 1 rows is the state after the block.
-        df_start, guard_start, sw_snd = is_df, guard_end, ()
-        if dpws_enabled:
-            is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
-                is_df, c, guard_end, gamma, sounding_slots, dpws_cfg
-            )
-        if len(sw_snd):
-            sw_slot = sounding_slots[sw_snd]
-            row = sw_slot - b0 + 1
-            toggles = np.zeros((b1 - b0 + 1, n), dtype=bool)
-            toggles[0] = df_start
-            toggles[row, sw_ue] = True
-            df_rows = np.logical_xor.accumulate(toggles, axis=0)
-            ends = np.zeros((b1 - b0 + 1, n), dtype=np.int64)
-            ends[0] = guard_start
-            ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
-            is_df_slots = df_rows[:-1]
-            silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
-            if events is not None:
-                to_df = df_rows[row, sw_ue].tolist()
-                for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
-                    frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
-                    events.append((episode, i, slot_offset + slot, frm, to))
+    # link budgets, each only if some slot reads it; snr_df carries the
+    # single-carrier penalty of the throughput mapping. Then one throughput
+    # mapping for the step.
+    all_df = is_df_slots.all()
+    if not all_df:
+        snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
+    if is_df_slots.any():
+        snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0)
+        snr_df -= cell_cfg.dfts_snr_penalty_db
+        if all_df:
+            snr = snr_df
         else:
-            is_df_slots = np.broadcast_to(is_df, (b1 - b0, n))
-            silent = slots[:, None] < guard_end
-
-        # link budgets, each only if some slot reads it; snr_df carries the
-        # single-carrier penalty of the throughput mapping. Then one
-        # throughput mapping for the block.
-        all_df = is_df_slots.all()
-        if not all_df:
-            snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
-        if is_df_slots.any():
-            snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0)
-            snr_df -= cell_cfg.dfts_snr_penalty_db
-            if all_df:
-                snr = snr_df
-            else:
-                np.copyto(snr, snr_df, where=is_df_slots)
-        tp, outage = map_throughput(snr, cfg.mcs, noise.bandwidth_hz)
-        tp[silent] = 0.0
-        tp_slots[b0:b1] = tp
-        bearing += (~silent & ~outage).sum(axis=0)
-        outage_ct += (~silent & outage).sum(axis=0)
-        guard_ct += silent.sum(axis=0)
-        if trace is not None:
-            trace["is_df"][b0:b1] = is_df_slots
-            trace["silent"][b0:b1] = silent
-
-        # the soundings that hear anyone, kept for the step's statistics
-        heard = ~silent[::period]
-        sounded = heard.any(axis=1)
-        gamma_rows.append(gamma[sounded])
-        heard_rows.append(heard[sounded])
+            np.copyto(snr, snr_df, where=is_df_slots)
+    tp, outage = map_throughput(snr, cfg.mcs, noise.bandwidth_hz)
+    tp[silent] = 0.0
+    if trace is not None:
+        trace.update(is_df=is_df_slots, silent=silent, tp=tp)
 
     # sounding statistics over the heard terminals of the soundings that
-    # hear anyone, once per step; only those soundings draw timing-advance
-    # jitter, in one draw of all their rows. gamma is summed per sounding
-    # over its heard terminals (a row sum when all are heard), then over
-    # soundings in slot order.
-    gamma, heard = np.concatenate(gamma_rows), np.concatenate(heard_rows)
-    # free the block copies before the step's larger temporaries: held
-    # together they raise the heap's high-water mark, and so peak RSS
-    del gamma_rows, heard_rows
+    # hear anyone; only those soundings draw timing-advance jitter, in one
+    # draw of all their rows. gamma is summed per sounding over its heard
+    # terminals (a row sum when all are heard), then over soundings in slot
+    # order.
+    heard = ~silent[::period]
+    sounded = heard.any(axis=1)
+    gamma, heard = gamma[sounded], heard[sounded]
     sums = gamma.sum(axis=1)
     for k in np.flatnonzero(~heard.all(axis=1)):
         sums[k] = gamma[k, heard[k]].sum()
@@ -311,18 +268,20 @@ def simulate_step(
     cell.is_df, cell.c, cell.guard_end = is_df, c, np.maximum(guard_end - n_slots, 0)
     # a contiguous row per terminal: its mean sums in the same order as a
     # mean over the terminal's column would
-    cell.throughput_bps = np.ascontiguousarray(tp_slots.T).mean(axis=1)
-    cell.bearing_slots, cell.outage_slots, cell.guard_slots = bearing, outage_ct, guard_ct
+    cell.throughput_bps = np.ascontiguousarray(tp.T).mean(axis=1)
+    cell.bearing_slots = (~silent & ~outage).sum(axis=0)
+    cell.outage_slots = (~silent & outage).sum(axis=0)
+    cell.guard_slots = silent.sum(axis=0)
 
     # cell throughput distribution over terminals; scheduling drops
     # terminals that spent the whole transmission in outage
-    included = bearing > 0
-    stats = throughput_percentiles(tp_slots.mean(axis=0)[included])
+    included = cell.bearing_slots > 0
+    stats = throughput_percentiles(tp.mean(axis=0)[included])
     mean_gamma = gamma_sum / gamma_n if gamma_n else float("nan")
     report = CellKpiReport(
         snr_hist=snr_hist, ta_hist=ta_hist, throughput=stats, mean_gamma_db=mean_gamma
     )
-    return report, h.copy()
+    return report, traj[-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +528,10 @@ def run_baseline(
 
 
 def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
-    """Per-factor relative (%) and absolute (Mbps) gains of run A over B."""
+    """Per-factor relative (%) and absolute (Mbps) gains of run A over B.
+    A throughput that is not finite or is negative raises ``ValueError``.
+    A factor that is 0 in both runs gains 0 %; one that is 0 in B alone
+    gains an infinite percentage."""
 
     def read(d):
         path = Path(d) / "throughput_stats.csv"
@@ -578,7 +540,10 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
         out = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                out[row["factor"]] = float(row["throughput_bps"])
+                value = float(row["throughput_bps"])
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ValueError(f"{path}: {row['factor']} throughput is {value}")
+                out[row["factor"]] = value
         return out
 
     a, b = read(dir_a), read(dir_b)
@@ -587,7 +552,10 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
     rows = []
     for factor in REWARD_FACTOR_IDS:
         va, vb = a[factor], b[factor]
-        rel = (va - vb) / vb * 100.0 if vb != 0.0 else float("inf")
+        if vb != 0.0:
+            rel = (va - vb) / vb * 100.0
+        else:
+            rel = 0.0 if va == 0.0 else math.inf
         rows.append((factor, va, vb, rel, (va - vb) / 1e6))
     return rows
 

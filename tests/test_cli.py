@@ -12,6 +12,7 @@ import pytest
 from dpwsim.agent import AgentConfig, QNetwork
 from dpwsim.cli import EXIT_CONFIG, EXIT_OK, main
 from dpwsim.config import ConfigError, PROFILES, SimConfig, apply_profile, load_config
+from dpwsim.kpi import REWARD_FACTOR_IDS
 
 
 def tiny_ini(tmp_path, seed=3):
@@ -385,6 +386,15 @@ class TestCliCommands:
         (b / "throughput_stats.csv").write_text("factor,throughput_bps\np10,1.0\n")
         rc = main(["compare", str(a), str(b)])
         assert rc != EXIT_OK
+
+    def test_compare_non_finite_input_exits_2(self, tmp_path):
+        # the full factor set, with one value that is not a throughput
+        rows = "".join(f"{f},{'nan' if f == 'p10' else '1.0'}\n" for f in REWARD_FACTOR_IDS)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "throughput_stats.csv").write_text("factor,throughput_bps\n" + rows)
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_CONFIG
+        assert not (tmp_path / "a" / "comparison.csv").exists()
 
     def test_out_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPWSIM_OUT", str(tmp_path / "envroot"))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpwsim.dpws_fsm import DpwsConfig, DpwsState, is_occasion, on_srs, on_srs_block
+from dpwsim.dpws_fsm import (
+    WINDOW_SOUNDINGS,
+    DpwsConfig,
+    DpwsState,
+    is_occasion,
+    on_srs,
+    on_srs_block,
+)
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 
 from dpws_reference import reference_run
@@ -115,11 +122,13 @@ class TestReferenceEquivalence:
             assert block_switches(start, gammas, cfg)[0] == want
 
     def test_array_form_matches_scalar_states(self):
-        # many terminals at once through a block of soundings, from random
+        # many terminals at once through a run of soundings, from random
         # guard ends and carried counters, against on_srs per terminal and
-        # sounding; guards end inside, before and after the block
+        # sounding; guards end inside, before and after the run, and in the
+        # last, long runs also across the machine's windows
         rng = np.random.default_rng(7)
-        for _ in range(300):
+        for trial in range(312):
+            max_soundings = 20 if trial < 300 else 3 * WINDOW_SOUNDINGS + 10
             counter = int(rng.integers(1, 6))
             window = int(rng.integers(counter, 7))
             cfg = DpwsConfig(
@@ -129,7 +138,8 @@ class TestReferenceEquivalence:
                 window_srs=window,
                 guard_slots=int(rng.integers(0, 30)),
             )
-            n, period, n_snd = 12, int(rng.integers(1, 4)), int(rng.integers(1, 20))
+            n, period = 12, int(rng.integers(1, 4))
+            n_snd = int(rng.integers(1, max_soundings))
             slots = 100 + period * np.arange(n_snd)
             gamma = rng.uniform(-6.0, 10.0, size=(n_snd, n))
             states = [
@@ -170,6 +180,45 @@ class TestReferenceEquivalence:
                     DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(c[i]), int(guard_end[i])
                 )
                 assert got == state
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_switching_every_sounding_across_windows(self, period):
+        # one call over more than two windows of soundings, a switch at
+        # nearly every sounding, and first guards that end before, on and
+        # after the window edges; each terminal against the reference from
+        # its first heard sounding
+        rng = np.random.default_rng(40 + period)
+        n_snd = 2 * WINDOW_SOUNDINGS + 45
+        cfg = DpwsConfig(zeta_db=0.5, xi_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        firsts = [0, 1, WINDOW_SOUNDINGS - 1, WINDOW_SOUNDINGS, WINDOW_SOUNDINGS + 1,
+                  2 * WINDOW_SOUNDINGS - 1, 2 * WINDOW_SOUNDINGS, n_snd - 1, n_snd]
+        starts = [CP_OFDM, DFT_S_OFDM] * len(firsts)
+        firsts = [k for k in firsts for _ in range(2)]
+        slots = 7 + period * np.arange(n_snd)
+        # a guard end inside the period before the first heard sounding
+        guard_end = np.array([7 + period * k - (k % period) for k in firsts])
+        gamma = rng.uniform(-1.0, 2.0, size=(n_snd, len(firsts)))
+        is_df, c, end, sw_snd, sw_ue = on_srs_block(
+            np.array([w == DFT_S_OFDM for w in starts]), np.zeros(len(firsts), dtype=np.int64),
+            guard_end, gamma, slots, cfg,
+        )
+        assert len(sw_snd) > n_snd  # the machine is busy
+        got = list(zip(sw_snd.tolist(), sw_ue.tolist()))
+        want = []
+        for i, (start, first) in enumerate(zip(starts, firsts)):
+            switches = reference_run(
+                start, gamma[first:, i].tolist(), cfg.zeta_db, cfg.xi_db, 1, 1
+            )
+            want += [(first + k, i) for k, _ in switches]
+            if switches:
+                k, waveform = switches[-1]
+                assert end[i] == slots[first + k] + 1
+            else:
+                waveform = start
+                assert end[i] == guard_end[i]
+            assert is_df[i] == (waveform == DFT_S_OFDM)
+        assert c.tolist() == [0] * len(firsts)
+        assert got == sorted(want)
 
 
 class TestInvariants:

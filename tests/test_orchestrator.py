@@ -291,19 +291,34 @@ class TestComparison:
         for _, _, _, rel, absolute in rows:
             assert rel == 0.0 and absolute == 0.0
 
+    @staticmethod
+    def write_stats(d, value):
+        d.mkdir()
+        with open(d / "throughput_stats.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["factor", "throughput_bps"])
+            for factor in REWARD_FACTOR_IDS:
+                w.writerow([factor, repr(value)])
+
     def test_hand_crafted_gain(self, tmp_path):
-        for name, value in (("a", 0.002e6), ("b", 0.001e6)):
-            d = tmp_path / name
-            d.mkdir()
-            with open(d / "throughput_stats.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["factor", "throughput_bps"])
-                for factor in REWARD_FACTOR_IDS:
-                    w.writerow([factor, repr(value)])
-        rows = compare_runs(tmp_path / "a", tmp_path / "b")
-        for _, _, _, rel, absolute in rows:
-            assert rel == pytest.approx(100.0)
-            assert absolute == pytest.approx(0.001)
+        # (A, B, gain %, gain Mbps); a factor that is 0 in both runs gains 0 %
+        cases = [(0.002e6, 0.001e6, 100.0, 0.001), (0.0, 0.0, 0.0, 0.0),
+                 (0.001e6, 0.0, math.inf, 0.001)]
+        for k, (a, b, gain_pct, gain_mbps) in enumerate(cases):
+            self.write_stats(tmp_path / f"a{k}", a)
+            self.write_stats(tmp_path / f"b{k}", b)
+            rows = compare_runs(tmp_path / f"a{k}", tmp_path / f"b{k}")
+            for _, _, _, rel, absolute in rows:
+                assert rel == pytest.approx(gain_pct)
+                assert absolute == pytest.approx(gain_mbps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_or_negative_throughput_rejected(self, tmp_path, bad, side):
+        self.write_stats(tmp_path / "a", bad if side == "a" else 1.0e6)
+        self.write_stats(tmp_path / "b", bad if side == "b" else 1.0e6)
+        with pytest.raises(ValueError, match="p10 throughput"):
+            compare_runs(tmp_path / "a", tmp_path / "b")
 
     def test_mismatched_factor_sets_rejected(self, tmp_path):
         d1 = tmp_path / "a"

@@ -190,7 +190,8 @@ class TestKernelMatchesSlotLoop:
     def test_ping_pong(self):
         # every sounding is an occasion for one of the two waveforms and no
         # guard holds a terminal back, so terminals switch over and over
-        # inside one block
+        # inside one step; its 120 soundings span two of the switching
+        # machine's windows
         cfg = small_cfg(seed=15, slots=120, srs=1)
         cfg.dpws.counter, cfg.dpws.window_srs, cfg.dpws.guard_slots = 1, 1, 0
         events = assert_same(cfg, [(4.0, 0.0)] * 3)[1]
@@ -201,7 +202,8 @@ class TestKernelMatchesSlotLoop:
         assert max(per_block.values()) >= 10
 
     def test_steps_spanning_several_slot_blocks(self):
-        # 300 slots at period 3 make blocks of 126, 126 and 48 slots
+        # a long step in one pass: 300 slots at period 3 give 100 soundings,
+        # which the switching machine takes in windows of 64 and 36
         cfg = small_cfg(seed=12, ues=20, slots=300, srs=3)
         assert_same(cfg, VARIED[:2])
 
