@@ -17,7 +17,7 @@ rather than the last minibatch iterate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,13 +86,6 @@ class AgentConfig:
             )
 
 
-@dataclass
-class RewardSpec:
-    weights: tuple = REWARD_WEIGHTS
-    theta: float = 50.0
-    clip: float = 2.0
-
-
 def decode_action(
     action: int, zeta: float, xi: float, cfg: AgentConfig
 ) -> tuple[float, float]:
@@ -144,14 +137,13 @@ def build_state(kpis: CellKpiReport, zeta: float, xi: float) -> np.ndarray:
     return state
 
 
-def compute_reward(
-    prev: ThroughputStats, cur: ThroughputStats, spec: RewardSpec = RewardSpec()
-) -> float:
-    """Weighted sum of relative per-factor gains, scaled by theta and
-    clamped to +-clip. Factors with a zero baseline contribute nothing."""
+def compute_reward(prev: ThroughputStats, cur: ThroughputStats, cfg: AgentConfig) -> float:
+    """Sum of relative per-factor gains weighted by ``REWARD_WEIGHTS``,
+    scaled by ``cfg.theta`` and clamped to +-``cfg.reward_clip``. Factors
+    with a zero baseline contribute nothing."""
     prev_v = prev.as_array()
     cur_v = cur.as_array()
-    weights = np.asarray(spec.weights)
+    weights = np.asarray(REWARD_WEIGHTS)
     ok = prev_v > 0.0
     if not np.all(ok):
         log.warning(
@@ -160,8 +152,8 @@ def compute_reward(
         )
     gains = np.zeros_like(prev_v)
     gains[ok] = (cur_v[ok] - prev_v[ok]) / prev_v[ok]
-    raw = spec.theta * float(weights @ gains)
-    return min(max(raw, -spec.clip), spec.clip)
+    raw = cfg.theta * float(weights @ gains)
+    return min(max(raw, -cfg.reward_clip), cfg.reward_clip)
 
 
 def epsilon_at(step: int, total_steps: int, start: float = 1.0, floor: float = 0.01) -> float:

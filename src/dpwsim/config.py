@@ -20,8 +20,8 @@ Example::
 
     [power]
     p0_dbm = -67.0
-    mpr_db = cp-ofdm/qpsk:3.0, dft-s-ofdm/qpsk:1.0,
-             cp-ofdm/16qam:3.5, dft-s-ofdm/16qam:2.0
+    cp_mpr_db = 3.0
+    dfts_mpr_db = 1.0
 
     [mcs]
     table = -6.0:0.1523, -4.16:0.2344, 19.8:5.5547
@@ -151,7 +151,6 @@ class SimConfig:
 
     def describe(self) -> dict:
         d = asdict(self)
-        d["power"]["mpr_db"] = {f"{w}/{m}": v for (w, m), v in sorted(self.power.mpr_db.items())}
         d["mcs"] = [list(e) for e in self.mcs.entries]
         return d
 
@@ -178,7 +177,6 @@ _KEYS = {
 # INI keys parsed by load_config itself
 _OTHER_KEYS = {
     "run": {"profile", "seed"},
-    "power": {"mpr_db"},
     "mcs": {"table"},
 }
 
@@ -190,26 +188,20 @@ def _number(convert, key: str, text: str):
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def _items(text: str, key, form: str) -> list[tuple]:
-    """The comma-separated ``key:value`` items of ``text``, each key read
-    by ``key`` and each value a finite number; ``form`` names the item's
-    shape in the error for a bad one."""
+def _mcs_entries(text: str) -> tuple:
+    """The comma-separated ``threshold:efficiency`` items of ``text``, each
+    a pair of finite numbers."""
     items = []
     for item in text.replace("\n", " ").split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            k, v = item.split(":")
-            items.append((key(k.strip()), _finite(v)))
+            threshold, efficiency = item.split(":")
+            items.append((_finite(threshold), _finite(efficiency)))
         except ValueError as exc:
-            raise ConfigError(f"bad entry {item!r} (want {form})") from exc
-    return items
-
-
-def _mpr_key(text: str) -> tuple[str, str]:
-    waveform, modulation = text.split("/")
-    return waveform.strip(), modulation.strip()
+            raise ConfigError(f"bad entry {item!r} (want threshold:efficiency)") from exc
+    return tuple(items)
 
 
 def _check_names(parser: configparser.ConfigParser, path: Path) -> None:
@@ -274,12 +266,6 @@ def _build(cfg: SimConfig, profile: str, ini: dict) -> SimConfig:
     return _rebuild(cfg, {name: {**preset.get(name, {}), **ini.get(name, {})} for name in _KEYS})
 
 
-def apply_profile(cfg: SimConfig, name: str) -> SimConfig:
-    """Set the size preset ``name`` on ``cfg``, rebuilding (and so checking)
-    each section."""
-    return _build(cfg, name, {})
-
-
 def load_config(path: str | Path | None = None, profile: str | None = None,
                 seed: int | None = None) -> SimConfig:
     """Build a SimConfig from defaults, an optional INI file, and optional
@@ -303,14 +289,8 @@ def load_config(path: str | Path | None = None, profile: str | None = None,
         }
         for name, keys in _KEYS.items()
     }
-    if parser.has_option("power", "mpr_db"):
-        ini["power"]["mpr_db"] = dict(
-            _items(parser["power"]["mpr_db"], _mpr_key, "waveform/mod:dB")
-        )
     if parser.has_option("mcs", "table"):
-        ini["mcs"]["entries"] = tuple(
-            _items(parser["mcs"]["table"], _finite, "threshold:efficiency")
-        )
+        ini["mcs"]["entries"] = _mcs_entries(parser["mcs"]["table"])
 
     cfg = SimConfig()
     if seed is not None:

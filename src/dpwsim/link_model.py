@@ -13,7 +13,7 @@ axes, which cost more per element than the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,6 @@ from .waveform import PRECODER_CODEBOOK
 
 CP_OFDM = "cp-ofdm"
 DFT_S_OFDM = "dft-s-ofdm"
-
-# Back-off from the terminal's maximum power, per (waveform, modulation).
-# The single-carrier waveform tolerates a smaller back-off; the gap is kept
-# inside 1.5..2.5 dB for every modulation.
-DEFAULT_MPR_DB = {
-    (CP_OFDM, "qpsk"): 3.5,
-    (CP_OFDM, "16qam"): 4.0,
-    (DFT_S_OFDM, "qpsk"): 1.0,
-    (DFT_S_OFDM, "16qam"): 1.5,
-}
 
 # CQI-style ladder: (SNR threshold dB at the 10% BLER operating point,
 # spectral efficiency bits/s/Hz). Entry k applies from its threshold up to
@@ -56,30 +46,27 @@ DEFAULT_MCS_TABLE = (
 
 @dataclass
 class PowerControlConfig:
-    """Fractional closed-loop power control with per-waveform power caps."""
+    """Fractional closed-loop power control with per-waveform power caps:
+    ``p_max_dbm`` less the waveform's back-off (MPR). The single-carrier
+    waveform's lower PAPR lets it back off less, by 1.5..2.5 dB."""
 
     p0_dbm: float = -67.0
     alpha: float = 0.8
     p_max_dbm: float = 23.0
-    mpr_db: dict = field(default_factory=lambda: dict(DEFAULT_MPR_DB))
+    cp_mpr_db: float = 3.5
+    dfts_mpr_db: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not np.isfinite(self.p_max_dbm):
             raise ValueError("p_max must be finite")
-        mods = {m for (_, m) in self.mpr_db}
-        for mod in mods:
-            cp = self.mpr_db.get((CP_OFDM, mod))
-            df = self.mpr_db.get((DFT_S_OFDM, mod))
-            if cp is None or df is None:
-                raise ValueError(f"modulation {mod!r} needs an MPR for both waveforms")
-            if cp < 0 or df < 0:
-                raise ValueError("MPR values must be nonnegative")
-            if not 1.5 <= cp - df <= 2.5:
-                raise ValueError(
-                    f"MPR gap for {mod!r} is {cp - df:.2f} dB, outside [1.5, 2.5]"
-                )
+        for name in ("cp_mpr_db", "dfts_mpr_db"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        gap = self.cp_mpr_db - self.dfts_mpr_db
+        if not 1.5 <= gap <= 2.5:
+            raise ValueError(f"cp_mpr_db - dfts_mpr_db is {gap:.2f} dB, outside [1.5, 2.5]")
 
 
 @dataclass
@@ -141,9 +128,12 @@ def path_loss_uma(distance_m, fc_ghz: float = 28.0):
     return float(pl) if pl.ndim == 0 else pl
 
 
-def transmit_power(pc: PowerControlConfig, pl_db, waveform: str, modulation: str = "qpsk"):
-    """Decided power ``P0 + alpha*PL`` capped at ``P_max - MPR(waveform, mod)``."""
-    cap = pc.p_max_dbm - pc.mpr_db[(waveform, modulation)]
+def transmit_power(pc: PowerControlConfig, pl_db, waveform: str):
+    """Decided power ``P0 + alpha*PL`` capped at ``P_max - MPR(waveform)``."""
+    if waveform not in (CP_OFDM, DFT_S_OFDM):
+        raise ValueError(f"unknown waveform {waveform!r}")
+    mpr = pc.cp_mpr_db if waveform == CP_OFDM else pc.dfts_mpr_db
+    cap = pc.p_max_dbm - mpr
     out = np.minimum(pc.p0_dbm + pc.alpha * np.asarray(pl_db, dtype=float), cap)
     return float(out) if out.ndim == 0 else out
 

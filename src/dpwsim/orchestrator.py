@@ -37,7 +37,6 @@ from . import __version__
 from .agent import (
     QNetwork,
     ReplayBuffer,
-    RewardSpec,
     build_state,
     compute_reward,
     decode_action,
@@ -403,7 +402,6 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
     qnet = QNetwork(rng, agent)
     averaged = copy.deepcopy(qnet)  # Polyak average of qnet, saved as the checkpoint
     buffer = ReplayBuffer(agent.buffer_size)
-    reward_spec = RewardSpec(theta=agent.theta, clip=agent.reward_clip)
     total_steps = ep_cfg.train_episodes * ep_cfg.train_steps
     events: list = []
     log_rows = []
@@ -422,7 +420,7 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
         for step, action, zeta, xi, report, state, _ in records:
             reward = loss = None
             if step > 0:
-                reward = compute_reward(prev_stats, report.throughput, reward_spec)
+                reward = compute_reward(prev_stats, report.throughput, agent)
                 buffer.push(prev_state, action, reward, state)
                 loss = train_step(qnet, buffer, rng)
                 averaged.track(qnet)
@@ -529,7 +527,9 @@ def run_baseline(
 
 def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
     """Per-factor relative (%) and absolute (Mbps) gains of run A over B.
-    A throughput that is not finite or is negative raises ``ValueError``.
+    A stats file without the ``factor`` or ``throughput_bps`` column, a
+    row with a missing value, or a throughput that is not finite or is
+    negative raises ``ValueError``.
     A factor that is 0 in both runs gains 0 %; one that is 0 in B alone
     gains an infinite percentage."""
 
@@ -539,7 +539,13 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path) -> list[tuple]:
             raise FileNotFoundError(f"missing stats file: {path}")
         out = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = {"factor", "throughput_bps"} - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
+            for row in reader:
+                if row["factor"] is None or row["throughput_bps"] is None:
+                    raise ValueError(f"{path}: line {reader.line_num} has a missing value")
                 value = float(row["throughput_bps"])
                 if not (math.isfinite(value) and value >= 0.0):
                     raise ValueError(f"{path}: {row['factor']} throughput is {value}")

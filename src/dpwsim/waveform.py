@@ -1,5 +1,4 @@
-"""Baseband generation of the two uplink waveforms, the Rapp amplifier
-model, and PAPR measurement.
+"""Baseband generation of the two uplink waveforms and PAPR measurement.
 
 Conventions used throughout:
 
@@ -68,20 +67,6 @@ class OfdmGrid:
             raise ValueError("mapped band does not fit inside the grid")
         if self.n_tx < 1:
             raise ValueError("need at least one antenna port")
-
-
-@dataclass
-class RappPa:
-    """Memoryless Rapp amplifier: small-signal gain ``v``, limiting output
-    amplitude ``a_sat`` and smoothness ``p``. Amplitude distortion only."""
-
-    v: float = 1.0
-    a_sat: float = 1.0
-    p: float = 2.0
-
-    def __post_init__(self):
-        if self.v <= 0 or self.a_sat <= 0 or self.p <= 0:
-            raise ValueError("v, a_sat and p must all be positive")
 
 
 def qpsk_symbols(n, rng: np.random.Generator) -> np.ndarray:
@@ -155,20 +140,6 @@ def generate_dft_s_ofdm(d: np.ndarray, grid: OfdmGrid) -> np.ndarray:
     mapped = _map_subcarriers(spread, grid)
     load = np.sqrt(grid.n_subcarriers / n)
     return load * np.fft.ifft(mapped, axis=-1, norm="ortho")
-
-
-def rapp_amplify(pa: RappPa, sample) -> np.ndarray | complex:
-    """Apply the Rapp AM/AM curve; the phase is passed through unchanged.
-
-    Output amplitude for input amplitude A is
-    ``v*A * (1 + |v*A / a_sat|**(2p))**(-1/(2p))``.
-    """
-    s = np.asarray(sample, dtype=complex)
-    amp = np.abs(s)
-    drive = pa.v * amp / pa.a_sat
-    gain = pa.v * (1.0 + drive ** (2.0 * pa.p)) ** (-1.0 / (2.0 * pa.p))
-    out = s * gain
-    return complex(out) if np.isscalar(sample) or out.ndim == 0 else out
 
 
 def _levels(percentile) -> np.ndarray:

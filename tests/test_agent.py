@@ -9,7 +9,6 @@ from dpwsim.agent import (
     QNetwork,
     REWARD_WEIGHTS,
     ReplayBuffer,
-    RewardSpec,
     XI_STEPS,
     ZETA_STEPS,
     build_state,
@@ -127,24 +126,24 @@ class TestActions:
 
 class TestReward:
     def test_no_change_no_reward(self):
-        assert compute_reward(flat_stats(2e6), flat_stats(2e6)) == 0.0
+        assert compute_reward(flat_stats(2e6), flat_stats(2e6), AgentConfig()) == 0.0
 
     def test_uniform_percent_gain(self):
         # +1% on every factor: 50 * 0.01 * sum(weights) = 0.45
         prev = flat_stats(1e6)
         cur = flat_stats(1.01e6)
-        assert compute_reward(prev, cur) == pytest.approx(0.45, abs=1e-12)
+        assert compute_reward(prev, cur, AgentConfig()) == pytest.approx(0.45, abs=1e-12)
 
     def test_clipping(self):
         prev = flat_stats(1e6)
         cur = flat_stats(1.10e6)  # raw 50 * 0.1 * 0.9 = 4.5
-        assert compute_reward(prev, cur) == 2.0
-        assert compute_reward(cur, prev) >= -2.0
+        assert compute_reward(prev, cur, AgentConfig()) == 2.0
+        assert compute_reward(cur, prev, AgentConfig()) >= -2.0
 
     def test_zero_baseline_term_dropped(self):
         prev = ThroughputStats(0.0, *[1e6] * 8)
         cur = flat_stats(2e6)
-        r = compute_reward(prev, cur, RewardSpec(theta=1.0, clip=1e9))
+        r = compute_reward(prev, cur, AgentConfig(theta=1.0, reward_clip=1e9))
         assert r == pytest.approx(sum(REWARD_WEIGHTS[1:]) * 1.0)
 
     def test_first_order_antisymmetry(self):
@@ -153,8 +152,8 @@ class TestReward:
         gains = 1e-4 * rng.uniform(-1.0, 1.0, size=9)
         prev = ThroughputStats.from_array(base)
         cur = ThroughputStats.from_array(base * (1.0 + gains))
-        fwd = compute_reward(prev, cur)
-        bwd = compute_reward(cur, prev)
+        fwd = compute_reward(prev, cur, AgentConfig())
+        bwd = compute_reward(cur, prev, AgentConfig())
         assert fwd + bwd == pytest.approx(0.0, abs=1e-4)
 
     def test_weights_sum(self):

@@ -11,7 +11,7 @@ import pytest
 
 from dpwsim.agent import AgentConfig, QNetwork
 from dpwsim.cli import EXIT_CONFIG, EXIT_OK, main
-from dpwsim.config import ConfigError, PROFILES, SimConfig, apply_profile, load_config
+from dpwsim.config import ConfigError, PROFILES, load_config
 from dpwsim.kpi import REWARD_FACTOR_IDS
 
 
@@ -71,12 +71,13 @@ class TestConfig:
         path = tmp_path / "c.ini"
         path.write_text(
             "[power]\n"
-            "mpr_db = cp-ofdm/qpsk:4.0, dft-s-ofdm/qpsk:2.0\n"
+            "cp_mpr_db = 4.0\n"
+            "dfts_mpr_db = 2.0\n"
             "[mcs]\n"
             "table = -2.0:0.5, 4.0:1.5, 10.0:3.0\n"
         )
         cfg = load_config(path)
-        assert cfg.power.mpr_db[("cp-ofdm", "qpsk")] == 4.0
+        assert (cfg.power.cp_mpr_db, cfg.power.dfts_mpr_db) == (4.0, 2.0)
         assert len(cfg.mcs.entries) == 3
         assert cfg.mcs.entries[2] == (10.0, 3.0)
 
@@ -129,7 +130,13 @@ class TestConfig:
             ("[dpws]\nxi_db = 12\n", "xi_db"),
             ("[agent]\nzeta_max_db = -1\n", "zeta_max_db"),
             ("[mcs]\ntable = nan:0.5, 4.0:1.5\n", "nan:0.5"),
-            ("[power]\nmpr_db = cp-ofdm:3.0, dft-s-ofdm/qpsk:1.0\n", "cp-ofdm:3.0"),
+            # not a key: the back-offs are cp_mpr_db and dfts_mpr_db
+            ("[power]\nmpr_db = cp-ofdm:3.0, dft-s-ofdm/qpsk:1.0\n", "mpr_db"),
+            ("[power]\ncp_mpr_db = -0.5\ndfts_mpr_db = -2.5\n", "cp_mpr_db"),
+            ("[power]\ndfts_mpr_db = -1.0\n", "dfts_mpr_db"),
+            ("[power]\ncp_mpr_db = 4.0\n", "cp_mpr_db - dfts_mpr_db"),
+            ("[power]\ndfts_mpr_db = 2.5\n", "cp_mpr_db - dfts_mpr_db"),
+            ("[power]\ncp_mpr_db = nan\n", "cp_mpr_db"),
         ],
     )
     def test_out_of_range_values_exit_2_before_any_work(self, tmp_path, capsys, body, name):
@@ -164,6 +171,10 @@ class TestConfig:
             ("[power]\np0 = -60\n", ("[power]", "p0")),
             ("[epsiode]\ntrain_steps = 3\n", ("[epsiode]",)),
             ("[power]\ndfts_snr_penalty_db = 1.1\n", ("[power]", "dfts_snr_penalty_db")),
+            ("[power]\ncp_mrp_db = 9.0\n", ("[power]", "cp_mrp_db")),
+            ("[power]\nmpr_db = cp-ofdm/qspk:3.5, dft-s-ofdm/qspk:1.0\n", ("[power]", "mpr_db")),
+            ("[power]\nmpr_db = cp-ofmd/qpsk:9.0\n", ("[power]", "mpr_db")),
+            ("[power]\nmpr_db = cp-ofdm/16qam:9.0\n", ("[power]", "mpr_db")),
         ],
     )
     def test_unknown_sections_and_keys_exit_2(self, tmp_path, capsys, body, words):
@@ -194,10 +205,8 @@ class TestConfig:
     def test_describe_is_json_friendly(self):
         import json
 
-        cfg = SimConfig()
-        apply_profile(cfg, "ci")
-        text = json.dumps(cfg.describe(), sort_keys=True)
-        assert "fading_rho" in text
+        text = json.dumps(load_config(profile="ci").describe(), sort_keys=True)
+        assert "fading_rho" in text and "dfts_mpr_db" in text
 
 
 class TestCliCommands:
@@ -387,14 +396,23 @@ class TestCliCommands:
         rc = main(["compare", str(a), str(b)])
         assert rc != EXIT_OK
 
-    def test_compare_non_finite_input_exits_2(self, tmp_path):
-        # the full factor set, with one value that is not a throughput
-        rows = "".join(f"{f},{'nan' if f == 'p10' else '1.0'}\n" for f in REWARD_FACTOR_IDS)
-        for name in ("a", "b"):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "throughput_stats.csv").write_text("factor,throughput_bps\n" + rows)
-        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_CONFIG
-        assert not (tmp_path / "a" / "comparison.csv").exists()
+    def test_compare_non_finite_input_exits_2(self, tmp_path, capsys):
+        good = "factor,throughput_bps\n" + "".join(f"{f},1.0\n" for f in REWARD_FACTOR_IDS)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "throughput_stats.csv").write_text(good)
+        for body in (
+            # the full factor set, with one value that is not a throughput
+            good.replace("p10,1.0", "p10,nan"),
+            # no throughput_bps column
+            good.replace("throughput_bps", "bps"),
+            # a row without its value
+            good.replace("p10,1.0", "p10"),
+        ):
+            (tmp_path / "a").mkdir(exist_ok=True)
+            (tmp_path / "a" / "throughput_stats.csv").write_text(body)
+            assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_CONFIG
+            assert str(tmp_path / "a" / "throughput_stats.csv") in capsys.readouterr().err
+            assert not (tmp_path / "a" / "comparison.csv").exists()
 
     def test_out_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPWSIM_OUT", str(tmp_path / "envroot"))
@@ -404,6 +422,11 @@ class TestCliCommands:
 
     def test_selftest(self, tmp_path):
         assert main(["selftest", "--seed", "6"]) == EXIT_OK
+
+    def test_selftest_paper_seed_1(self):
+        # with 20 terminals a step of this run had one that carried no data,
+        # and a step's percentiles need 20 terminals that did
+        assert main(["selftest", "--profile", "paper", "--seed", "1"]) == EXIT_OK
 
     def test_selftest_checks_its_own_sizes(self, tmp_path, capsys, monkeypatch):
         # a 100-slot guard fits the desk step of 400 slots, not the

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import given, strategies as st
 from dpwsim.link_model import (
     CP_OFDM,
     DFT_S_OFDM,
-    DEFAULT_MPR_DB,
     McsTable,
     NoiseConfig,
     PowerControlConfig,
@@ -68,10 +69,32 @@ class TestTransmitPower:
         assert transmit_power(pc, 10.0, CP_OFDM) == transmit_power(pc, 10.0, DFT_S_OFDM)
 
     def test_mpr_gap_validated(self):
-        with pytest.raises(ValueError):
-            PowerControlConfig(mpr_db={(CP_OFDM, "qpsk"): 3.0, (DFT_S_OFDM, "qpsk"): 0.0})
-        with pytest.raises(ValueError):
-            PowerControlConfig(mpr_db={(CP_OFDM, "qpsk"): 1.0, (DFT_S_OFDM, "qpsk"): -1.0})
+        with pytest.raises(ValueError, match="outside"):
+            PowerControlConfig(cp_mpr_db=3.0, dfts_mpr_db=0.0)
+        with pytest.raises(ValueError, match="outside"):
+            PowerControlConfig(cp_mpr_db=2.0, dfts_mpr_db=1.0)
+        with pytest.raises(ValueError, match="dfts_mpr_db"):
+            PowerControlConfig(cp_mpr_db=1.0, dfts_mpr_db=-1.0)
+        PowerControlConfig(cp_mpr_db=2.5, dfts_mpr_db=0.0)
+
+    def test_unknown_waveform_rejected(self):
+        with pytest.raises(ValueError, match="cp-ofmd"):
+            transmit_power(PowerControlConfig(), 100.0, "cp-ofmd")
+
+    def test_every_power_key_moves_a_cap_or_the_decided_power(self):
+        # each field is a [power] key, and the link budget reads it:
+        # changing it alone changes some terminal's transmit power on some
+        # waveform
+        changed = dict(p0_dbm=-60.0, alpha=0.7, p_max_dbm=20.0, cp_mpr_db=3.0, dfts_mpr_db=1.5)
+        assert {f.name for f in fields(PowerControlConfig)} == set(changed)
+        pl = np.linspace(60.0, 160.0, 101)
+        base = PowerControlConfig()
+        for key, value in changed.items():
+            pc = PowerControlConfig(**{key: value})
+            assert any(
+                not np.array_equal(transmit_power(pc, pl, w), transmit_power(base, pl, w))
+                for w in (CP_OFDM, DFT_S_OFDM)
+            ), key
 
     def test_alpha_range_validated(self):
         with pytest.raises(ValueError):
@@ -355,9 +378,9 @@ class TestAmc:
 
 class TestDefaults:
     def test_default_mpr_gaps(self):
-        for mod in ("qpsk", "16qam"):
-            gap = DEFAULT_MPR_DB[(CP_OFDM, mod)] - DEFAULT_MPR_DB[(DFT_S_OFDM, mod)]
-            assert 1.5 <= gap <= 2.5
+        pc = PowerControlConfig()
+        assert (pc.cp_mpr_db, pc.dfts_mpr_db) == (3.5, 1.0)
+        assert 1.5 <= pc.cp_mpr_db - pc.dfts_mpr_db <= 2.5
 
     def test_default_mcs_span(self):
         mcs = McsTable()

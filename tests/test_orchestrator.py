@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpwsim.agent import select_action
-from dpwsim.config import SimConfig, apply_profile
+from dpwsim.config import SimConfig
 from dpwsim.kpi import REWARD_FACTOR_IDS
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 from dpwsim.orchestrator import (

@@ -3,14 +3,12 @@ import pytest
 
 from dpwsim.waveform import (
     OfdmGrid,
-    RappPa,
     generate_cp_ofdm,
     generate_dft_s_ofdm,
     measure_papr,
     papr_ensemble,
     qam16_symbols,
     qpsk_symbols,
-    rapp_amplify,
 )
 
 
@@ -141,48 +139,6 @@ class TestParseval:
             assert abs(t_power - f_power) / f_power < 1e-9
             # loading factor makes the time mean power equal the data power
             assert abs(t_power - 1.0) < 1e-9
-
-
-class TestRappPa:
-    def test_zero_in_zero_out(self):
-        pa = RappPa(v=1.0, a_sat=1.0, p=2.0)
-        assert rapp_amplify(pa, 0j) == 0j
-
-    def test_saturation_point_value(self):
-        a_sat = 2.5
-        pa = RappPa(v=1.0, a_sat=a_sat, p=2.0)
-        out = rapp_amplify(pa, a_sat + 0j)
-        assert abs(abs(out) - a_sat * 2 ** (-0.25)) < 1e-9
-
-    def test_deep_saturation_approaches_limit(self):
-        pa = RappPa(v=1.0, a_sat=1.0, p=2.0)
-        out = rapp_amplify(pa, 10.0 + 0j)
-        assert abs(abs(out) - 1.0) < 1e-3  # within 0.1% of a_sat
-
-    def test_monotone_and_bounded(self):
-        pa = RappPa(v=1.0, a_sat=1.3, p=2.0)
-        amps = np.linspace(0.0, 13.0, 1000)
-        out = np.abs(rapp_amplify(pa, amps.astype(complex)))
-        assert np.all(np.diff(out) >= 0.0)
-        assert np.all(out < pa.a_sat)
-
-    def test_linear_region(self):
-        pa = RappPa(v=1.0, a_sat=1.0, p=2.0)
-        amps = np.linspace(1e-3, 0.1, 50)
-        out = np.abs(rapp_amplify(pa, amps.astype(complex)))
-        assert np.max(np.abs(out - amps) / amps) < 1e-4
-
-    def test_phase_preserved(self, rng):
-        pa = RappPa(v=2.0, a_sat=1.0, p=3.0)
-        s = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        out = rapp_amplify(pa, s)
-        np.testing.assert_allclose(np.angle(out), np.angle(s), atol=1e-12)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            RappPa(v=0.0)
-        with pytest.raises(ValueError):
-            RappPa(a_sat=-1.0)
 
 
 class TestPapr:
