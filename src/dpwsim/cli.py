@@ -20,6 +20,7 @@ from .config import ConfigError, _rebuild, load_config
 from .link_model import CP_OFDM, DFT_S_OFDM
 from .orchestrator import (
     STREAM_PAPR,
+    _write_csv,
     compare_runs,
     run_baseline,
     run_evaluation,
@@ -95,10 +96,7 @@ def cmd_papr(args) -> int:
             )
             for pct, papr in zip(PAPR_PERCENTILES, paprs):
                 rows.append((waveform, modulation, pct * 100.0, papr))
-    with open(path, "w", newline="") as fh:
-        fh.write("waveform,modulation,percentile,papr_db\n")
-        for waveform, modulation, pct, papr in rows:
-            fh.write(f"{waveform},{modulation},{pct!r},{papr!r}\n")
+    _write_csv(path, ["waveform", "modulation", "percentile", "papr_db"], rows)
     print(f"PAPR table written to {path}")
     return EXIT_OK
 

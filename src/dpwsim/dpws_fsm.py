@@ -1,33 +1,21 @@
-"""Counter/timer state machine deciding when a terminal flips between
-CP-OFDM and DFT-S-OFDM.
+"""Counter state machine deciding when a terminal flips between CP-OFDM
+and DFT-S-OFDM.
 
 Every sounding reception is scored against the threshold ``zeta`` (and
 ``zeta + xi`` in the single-carrier state). A reception satisfying the
 waveform's inequality is a switching occasion and advances the counter
-``c``; any other reception resets both counter and timer. Once ``c``
-reaches ``C`` the waveform (and with it the port configuration) toggles and
-a reconfiguration guard suppresses transmission for a configurable number
-of slots. The timer ``t`` advances only when an occasion was counted, and
-a window that reaches ``T`` receptions forces a reset.
+``c``; any other reception clears it, so occasions must be consecutive.
+Once ``c`` reaches ``C`` the waveform (and with it the port configuration)
+toggles, the counter clears (without that the machine would re-trigger on
+the very next reception, defeating its anti-ping-pong purpose), and a
+reconfiguration guard suppresses transmission for a configurable number
+of slots.
 
-Two behaviors worth calling out:
-
-- the counter and timer are cleared after a triggered switch; without that
-  the machine would re-trigger on the very next reception, defeating its
-  anti-ping-pong purpose;
-- because any non-occasion already clears both counters, the timer tracks
-  the occasion counter exactly and the ``T`` cap can only bind for the
-  (rejected) configuration ``T < C``. Keeping the timer this way preserves
-  a useful property: raising the threshold never delays the first switch
-  out of the multi-port waveform.
-
-``on_srs`` steps one terminal through one reception and keeps the timer,
-as the machine is specified. The simulator runs ``on_srs_block``, which
-takes all terminals through all soundings of a step at once and works
-once per switch in each window of soundings rather than once per sounding.
-It keeps no timer, by the second point above: ``t == c`` always, so the
-window ``T`` never binds and a terminal's counter at any sounding is just
-the length of its current run of occasions.
+``on_srs`` steps one terminal through one reception. The simulator runs
+``on_srs_block``, which takes all terminals through all soundings of a
+step at once and works once per switch in each window of soundings rather
+than once per sounding: a terminal's counter at any sounding is just the
+length of its current run of occasions.
 """
 
 from __future__ import annotations
@@ -38,7 +26,7 @@ import numpy as np
 
 from .link_model import CP_OFDM, DFT_S_OFDM
 
-# soundings per window of on_srs_block (not the timer window T)
+# soundings per window of on_srs_block
 WINDOW_SOUNDINGS = 64
 
 
@@ -50,7 +38,6 @@ class DpwsConfig:
     # trip a switch; at the default sounding rate a run of 6 lows spans
     # several fading coherence times
     counter: int = 6
-    window_srs: int = 10
     guard_slots: int = 19
 
     def __post_init__(self):
@@ -58,10 +45,6 @@ class DpwsConfig:
             raise ValueError("hysteresis must be nonnegative")
         if self.counter < 1:
             raise ValueError("occasion counter must be at least 1")
-        if self.window_srs < self.counter:
-            # occasions are consecutive (any miss resets), so a window
-            # shorter than the counter could never accumulate a switch
-            raise ValueError("window must be at least the occasion counter")
         if self.guard_slots < 0:
             raise ValueError("guard length must be nonnegative")
 
@@ -70,7 +53,6 @@ class DpwsConfig:
 class DpwsState:
     waveform: str = CP_OFDM
     c: int = 0
-    t: int = 0
     guard_remaining: int = 0
 
 
@@ -89,18 +71,13 @@ def on_srs(state: DpwsState, cfg: DpwsConfig, gamma_db: float) -> tuple[DpwsStat
     """
     if state.guard_remaining > 0:
         raise ValueError("sounding processed during the reconfiguration guard")
-    if state.t >= cfg.window_srs:
-        return replace(state, c=0, t=0), False
     if not is_occasion(state.waveform, gamma_db, cfg):
-        return replace(state, c=0, t=0), False
+        return replace(state, c=0), False
     c = state.c + 1
     if c >= cfg.counter:
         target = DFT_S_OFDM if state.waveform == CP_OFDM else CP_OFDM
-        return (
-            DpwsState(waveform=target, c=0, t=0, guard_remaining=cfg.guard_slots),
-            True,
-        )
-    return replace(state, c=c, t=state.t + 1), False
+        return DpwsState(waveform=target, c=0, guard_remaining=cfg.guard_slots), True
+    return replace(state, c=c), False
 
 
 def on_srs_block(
@@ -130,10 +107,8 @@ def on_srs_block(
     Each pass runs over every row of its window, so the window, not the
     length of the call, bounds what a switch costs.
 
-    There is no timer: it would equal the counter (see the module
-    docstring), so the window never binds. Returns the new (is_df, c,
-    guard_end) and the switches as (sounding index, terminal index) arrays,
-    sorted by sounding and then terminal.
+    Returns the new (is_df, c, guard_end) and the switches as (sounding
+    index, terminal index) arrays, sorted by sounding and then terminal.
     """
     c = np.array(c, dtype=np.int64)
     is_df, guard_end = is_df.copy(), np.array(guard_end, dtype=np.int64)

@@ -155,23 +155,18 @@ class CellKpiReport:
 
 
 def timing_advance_percent(
-    distance_m,
-    cell_range_m: float = 300.0,
-    jitter_pct: float = 0.0,
-    rng: np.random.Generator | None = None,
-    size: tuple | None = None,
-):
-    """Distance as % of the cell range, optionally with zero-mean uniform
-    jitter of +-jitter_pct emulating delay-spread overshoot. Clamped at 0.
-
-    A float for a scalar distance. With ``size`` the result is an array of
-    that shape, the distances broadcast along its last axis, and its jitter
-    comes from one draw of that shape.
-    """
-    ta = 100.0 * np.asarray(distance_m, dtype=float) / cell_range_m
+    distance_m: np.ndarray,
+    cell_range_m: float,
+    jitter_pct: float,
+    rng: np.random.Generator,
+    shape: tuple,
+) -> np.ndarray:
+    """Distance as % of the cell range, with zero-mean uniform jitter of
+    +-jitter_pct emulating delay-spread overshoot, clamped at 0. The result
+    has ``shape``, the distances broadcast along its last axis, and its
+    jitter comes from one draw of that shape (none when ``jitter_pct`` is
+    0)."""
+    ta = 100.0 * distance_m / cell_range_m
     if jitter_pct > 0.0:
-        if rng is None:
-            raise ValueError("jitter requires an rng")
-        ta = ta + rng.uniform(-jitter_pct, jitter_pct, size)
-    ta = np.broadcast_to(np.maximum(ta, 0.0), np.shape(ta) if size is None else size)
-    return float(ta) if ta.ndim == 0 else ta
+        ta = ta + rng.uniform(-jitter_pct, jitter_pct, shape)
+    return np.broadcast_to(np.maximum(ta, 0.0), shape)

@@ -124,8 +124,7 @@ def path_loss_uma(distance_m, fc_ghz: float = 28.0):
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    pl = 28.0 + 22.0 * np.log10(d) + 20.0 * np.log10(fc_ghz)
-    return float(pl) if pl.ndim == 0 else pl
+    return 28.0 + 22.0 * np.log10(d) + 20.0 * np.log10(fc_ghz)
 
 
 def transmit_power(pc: PowerControlConfig, pl_db, waveform: str):
@@ -134,8 +133,7 @@ def transmit_power(pc: PowerControlConfig, pl_db, waveform: str):
         raise ValueError(f"unknown waveform {waveform!r}")
     mpr = pc.cp_mpr_db if waveform == CP_OFDM else pc.dfts_mpr_db
     cap = pc.p_max_dbm - mpr
-    out = np.minimum(pc.p0_dbm + pc.alpha * np.asarray(pl_db, dtype=float), cap)
-    return float(out) if out.ndim == 0 else out
+    return np.minimum(pc.p0_dbm + pc.alpha * np.asarray(pl_db, dtype=float), cap)
 
 
 def noise_power_dbm(nc: NoiseConfig) -> float:
@@ -238,13 +236,12 @@ def compute_snr(p_out_dbm, pl_db, h_eff_gain, n0_dbm):
     gain = np.asarray(h_eff_gain, dtype=float)
     with np.errstate(divide="ignore"):
         gain_db = 10.0 * np.log10(gain)
-    snr = (
+    return (
         np.asarray(p_out_dbm, dtype=float)
         - np.asarray(pl_db, dtype=float)
         + gain_db
         - n0_dbm
     )
-    return float(snr) if snr.ndim == 0 else snr
 
 
 def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
@@ -257,8 +254,4 @@ def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
     snr = np.asarray(snr_db, dtype=float)
     idx = np.searchsorted(mcs.thresholds, snr, side="right")
     table = np.concatenate(([0.0], mcs.efficiencies * bandwidth_hz))
-    tp = table[idx]
-    outage = idx == 0
-    if snr.ndim == 0:
-        return float(tp), bool(outage)
-    return tp, outage
+    return table[idx], idx == 0

@@ -198,31 +198,28 @@ def simulate_step(
     # switch at slot s toggles the waveform from row s+1 on and silences
     # the rows before its guard end. The last of the n_slots + 1 rows is
     # the state after the step.
-    is_df, c, guard_end, sw_snd = cell.is_df, cell.c, cell.guard_end, ()
+    is_df, c, guard_end = cell.is_df, cell.c, cell.guard_end
+    sw_snd = sw_ue = np.zeros(0, dtype=np.int64)
     if dpws_enabled:
         is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
             is_df, c, guard_end, gamma, sounding_slots, dpws_cfg
         )
-    if len(sw_snd):
-        sw_slot = sounding_slots[sw_snd]
-        row = sw_slot + 1
-        toggles = np.zeros((n_slots + 1, n), dtype=bool)
-        toggles[0] = cell.is_df
-        toggles[row, sw_ue] = True
-        df_rows = np.logical_xor.accumulate(toggles, axis=0)
-        ends = np.zeros((n_slots + 1, n), dtype=np.int64)
-        ends[0] = cell.guard_end
-        ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
-        is_df_slots = df_rows[:-1]
-        silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
-        if events is not None:
-            to_df = df_rows[row, sw_ue].tolist()
-            for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
-                frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
-                events.append((episode, i, slot_offset + slot, frm, to))
-    else:
-        is_df_slots = np.broadcast_to(is_df, (n_slots, n))
-        silent = slots[:, None] < guard_end
+    sw_slot = sounding_slots[sw_snd]
+    row = sw_slot + 1
+    toggles = np.zeros((n_slots + 1, n), dtype=bool)
+    toggles[0] = cell.is_df
+    toggles[row, sw_ue] = True
+    df_rows = np.logical_xor.accumulate(toggles, axis=0)
+    ends = np.zeros((n_slots + 1, n), dtype=np.int64)
+    ends[0] = cell.guard_end
+    ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
+    is_df_slots = df_rows[:-1]
+    silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
+    if events is not None:
+        to_df = df_rows[row, sw_ue].tolist()
+        for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
+            frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
+            events.append((episode, i, slot_offset + slot, frm, to))
 
     # link budgets, each only if some slot reads it; snr_df carries the
     # single-carrier penalty of the throughput mapping. Then one throughput
@@ -246,16 +243,13 @@ def simulate_step(
     # hear anyone; only those soundings draw timing-advance jitter, in one
     # draw of all their rows. gamma is summed per sounding over its heard
     # terminals (a row sum when all are heard), then over soundings in slot
-    # order.
+    # order: a running sum, not numpy's pairwise one.
     heard = ~silent[::period]
     sounded = heard.any(axis=1)
     gamma, heard = gamma[sounded], heard[sounded]
     sums = gamma.sum(axis=1)
     for k in np.flatnonzero(~heard.all(axis=1)):
         sums[k] = gamma[k, heard[k]].sum()
-    gamma_sum = 0.0
-    for total in sums.tolist():
-        gamma_sum += total
     gamma_n = int(heard.sum())
     ta = timing_advance_percent(
         cell.distance_m, cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct, streams.ta,
@@ -276,7 +270,7 @@ def simulate_step(
     # terminals that spent the whole transmission in outage
     included = cell.bearing_slots > 0
     stats = throughput_percentiles(tp.mean(axis=0)[included])
-    mean_gamma = gamma_sum / gamma_n if gamma_n else float("nan")
+    mean_gamma = np.add.accumulate(sums)[-1] / gamma_n if gamma_n else float("nan")
     report = CellKpiReport(
         snr_hist=snr_hist, ta_hist=ta_hist, throughput=stats, mean_gamma_db=mean_gamma
     )

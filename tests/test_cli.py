@@ -84,7 +84,8 @@ class TestConfig:
     def test_bad_values_are_config_errors(self, tmp_path):
         for body in (
             "[power]\nalpha = 2.0\n",
-            "[dpws]\ncounter = 9\nwindow_srs = 3\n",
+            "[dpws]\ncounter = 0\n",
+            "[dpws]\nguard_slots = -1\n",
             "[mcs]\ntable = 1.0:1.0, 0.5:2.0\n",
             "[episode]\nslots_per_step = 101\n",
             "[agent]\nlearning_rate = not-a-number\n",
@@ -175,6 +176,7 @@ class TestConfig:
             ("[power]\nmpr_db = cp-ofdm/qspk:3.5, dft-s-ofdm/qspk:1.0\n", ("[power]", "mpr_db")),
             ("[power]\nmpr_db = cp-ofmd/qpsk:9.0\n", ("[power]", "mpr_db")),
             ("[power]\nmpr_db = cp-ofdm/16qam:9.0\n", ("[power]", "mpr_db")),
+            ("[dpws]\nwindow_srs = 10\n", ("[dpws]", "window_srs")),
         ],
     )
     def test_unknown_sections_and_keys_exit_2(self, tmp_path, capsys, body, words):

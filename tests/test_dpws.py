@@ -23,7 +23,7 @@ def drive(initial_waveform, gammas, cfg):
     state = DpwsState(waveform=initial_waveform)
     switches = []
     for k, gamma in enumerate(gammas):
-        state = DpwsState(state.waveform, state.c, state.t, 0)
+        state = DpwsState(state.waveform, state.c, 0)
         state, switched = on_srs(state, cfg, gamma)
         if switched:
             switches.append((k, state.waveform))
@@ -32,34 +32,34 @@ def drive(initial_waveform, gammas, cfg):
 
 class TestHandTraces:
     def test_three_lows_trigger_switch(self):
-        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=3, window_srs=8, guard_slots=0)
+        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=3, guard_slots=0)
         switches = drive(CP_OFDM, [-1.0, -1.0, -1.0], cfg)
         assert switches == [(2, DFT_S_OFDM)]
 
     def test_hysteresis_dead_zone(self):
-        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=3, window_srs=8)
+        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=3)
         state = DpwsState(waveform=DFT_S_OFDM)
         for _ in range(50):
             state, switched = on_srs(state, cfg, 3.0)  # zeta < gamma < zeta + xi
             assert not switched
-            assert state.c == 0 and state.t == 0
+            assert state.c == 0
 
     def test_equality_is_not_an_occasion(self):
-        cfg = DpwsConfig(zeta_db=1.0, xi_db=2.0, counter=1, window_srs=4)
+        cfg = DpwsConfig(zeta_db=1.0, xi_db=2.0, counter=1)
         assert not is_occasion(CP_OFDM, 1.0, cfg)
         assert not is_occasion(DFT_S_OFDM, 3.0, cfg)
         assert is_occasion(CP_OFDM, 0.999, cfg)
         assert is_occasion(DFT_S_OFDM, 3.001, cfg)
 
     def test_switch_sets_guard_and_resets(self):
-        cfg = DpwsConfig(zeta_db=0.0, counter=2, window_srs=4, guard_slots=19)
+        cfg = DpwsConfig(zeta_db=0.0, counter=2, guard_slots=19)
         state = DpwsState(waveform=CP_OFDM)
         state, _ = on_srs(state, cfg, -5.0)
         state, switched = on_srs(state, cfg, -5.0)
         assert switched
         assert state.waveform == DFT_S_OFDM
         assert state.guard_remaining == 19
-        assert state.c == 0 and state.t == 0
+        assert state.c == 0
 
     def test_srs_during_guard_rejected(self):
         cfg = DpwsConfig()
@@ -91,19 +91,21 @@ class TestGuardCountdown:
     # the guard runs one slot at a time: a terminal whose guard ends at slot
     # g first hears the sounding at slot g
     def test_counts_down(self):
-        cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        cfg = DpwsConfig(zeta_db=0.0, counter=1, guard_slots=0)
         switches, _, end = block_switches(CP_OFDM, [-1.0] * 40, cfg, guard_end=19)
         assert switches[0] == (19, DFT_S_OFDM)
         assert end == 20
 
     def test_idempotent_at_zero(self):
-        cfg = DpwsConfig(zeta_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        cfg = DpwsConfig(zeta_db=0.0, counter=1, guard_slots=0)
         switches, _, _ = block_switches(CP_OFDM, [-1.0] * 4, cfg, guard_end=0)
         assert switches[0] == (0, DFT_S_OFDM)
 
 
 class TestReferenceEquivalence:
     def test_random_traces(self):
+        # the reference also runs the procedure's window T, of at least the
+        # counter; the machine, which has none, matches it, so T never binds
         rng = np.random.default_rng(99)
         for _ in range(2000):
             counter = int(rng.integers(1, 6))
@@ -112,7 +114,6 @@ class TestReferenceEquivalence:
                 zeta_db=float(rng.uniform(-3, 3)),
                 xi_db=float(rng.uniform(0, 4)),
                 counter=counter,
-                window_srs=window,
                 guard_slots=0,
             )
             start = CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM
@@ -130,12 +131,10 @@ class TestReferenceEquivalence:
         for trial in range(312):
             max_soundings = 20 if trial < 300 else 3 * WINDOW_SOUNDINGS + 10
             counter = int(rng.integers(1, 6))
-            window = int(rng.integers(counter, 7))
             cfg = DpwsConfig(
                 zeta_db=float(rng.uniform(-3, 3)),
                 xi_db=float(rng.uniform(0, 4)),
                 counter=counter,
-                window_srs=window,
                 guard_slots=int(rng.integers(0, 30)),
             )
             n, period = 12, int(rng.integers(1, 4))
@@ -145,8 +144,7 @@ class TestReferenceEquivalence:
             states = [
                 DpwsState(
                     waveform=CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM,
-                    c=(c := int(rng.integers(0, counter))),
-                    t=c,
+                    c=int(rng.integers(0, counter)),
                     guard_remaining=int(rng.integers(90, 100 + period * n_snd + 10)),
                 )
                 for _ in range(n)
@@ -174,11 +172,8 @@ class TestReferenceEquivalence:
                         state = replace(state, guard_remaining=states[i].guard_remaining)
                     states[i] = state
             assert list(zip(sw_snd.tolist(), sw_ue.tolist())) == want_switches
-            # the block machine keeps no timer: the scalar one's equals c
             for i, state in enumerate(states):
-                got = DpwsState(
-                    DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(c[i]), int(guard_end[i])
-                )
+                got = DpwsState(DFT_S_OFDM if is_df[i] else CP_OFDM, int(c[i]), int(guard_end[i]))
                 assert got == state
 
     @pytest.mark.parametrize("period", [1, 2])
@@ -189,7 +184,7 @@ class TestReferenceEquivalence:
         # its first heard sounding
         rng = np.random.default_rng(40 + period)
         n_snd = 2 * WINDOW_SOUNDINGS + 45
-        cfg = DpwsConfig(zeta_db=0.5, xi_db=0.0, counter=1, window_srs=1, guard_slots=0)
+        cfg = DpwsConfig(zeta_db=0.5, xi_db=0.0, counter=1, guard_slots=0)
         firsts = [0, 1, WINDOW_SOUNDINGS - 1, WINDOW_SOUNDINGS, WINDOW_SOUNDINGS + 1,
                   2 * WINDOW_SOUNDINGS - 1, 2 * WINDOW_SOUNDINGS, n_snd - 1, n_snd]
         starts = [CP_OFDM, DFT_S_OFDM] * len(firsts)
@@ -225,18 +220,18 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=60))
     def test_cp_never_switches_when_gamma_at_or_above_zeta(self, gammas):
-        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=2, window_srs=6)
+        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=2)
         assert drive(CP_OFDM, gammas, cfg) == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-50.0, 5.0), min_size=1, max_size=60))
     def test_dfts_never_switches_when_gamma_at_or_below_zeta_plus_xi(self, gammas):
-        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=2, window_srs=6)
+        cfg = DpwsConfig(zeta_db=0.0, xi_db=5.0, counter=2)
         assert drive(DFT_S_OFDM, gammas, cfg) == []
 
     def test_min_inter_switch_spacing(self):
         rng = np.random.default_rng(3)
-        cfg = DpwsConfig(zeta_db=0.0, xi_db=0.0, counter=3, window_srs=5, guard_slots=0)
+        cfg = DpwsConfig(zeta_db=0.0, xi_db=0.0, counter=3, guard_slots=0)
         for _ in range(200):
             gammas = rng.uniform(-2.0, 2.0, size=80).tolist()
             switches = drive(CP_OFDM, gammas, cfg)
@@ -247,13 +242,10 @@ class TestInvariants:
         rng = np.random.default_rng(17)
         for _ in range(300):
             counter = int(rng.integers(1, 5))
-            window = int(rng.integers(counter, 7))
             gammas = rng.uniform(-5.0, 5.0, size=30).tolist()
             first = {}
             for zeta in (-1.0, 0.0, 1.0, 2.5):
-                cfg = DpwsConfig(
-                    zeta_db=zeta, xi_db=1.0, counter=counter, window_srs=window
-                )
+                cfg = DpwsConfig(zeta_db=zeta, xi_db=1.0, counter=counter)
                 switches = drive(CP_OFDM, gammas, cfg)
                 first[zeta] = switches[0][0] if switches else None
             zetas = sorted(first)
@@ -267,32 +259,23 @@ class TestInvariants:
         # (below zeta, inside the dead zone, above zeta + xi); stronger than
         # enumerating bounded traces
         for counter in range(1, 5):
-            for window in range(counter, 5):
-                cfg = DpwsConfig(
-                    zeta_db=0.0, xi_db=2.0, counter=counter, window_srs=window
-                )
-                inputs = (-1.0, 1.0, 3.0)
-                seen = set()
-                frontier = [DpwsState()]
-                while frontier:
-                    state = frontier.pop()
-                    key = (state.waveform, state.c, state.t)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    assert 0 <= state.c <= counter
-                    assert 0 <= state.t <= window
-                    for gamma in inputs:
-                        nxt, _ = on_srs(
-                            DpwsState(state.waveform, state.c, state.t, 0), cfg, gamma
-                        )
-                        frontier.append(DpwsState(nxt.waveform, nxt.c, nxt.t, 0))
+            cfg = DpwsConfig(zeta_db=0.0, xi_db=2.0, counter=counter)
+            inputs = (-1.0, 1.0, 3.0)
+            seen = set()
+            frontier = [DpwsState()]
+            while frontier:
+                state = frontier.pop()
+                key = (state.waveform, state.c)
+                if key in seen:
+                    continue
+                seen.add(key)
+                assert 0 <= state.c < counter
+                for gamma in inputs:
+                    nxt, _ = on_srs(DpwsState(state.waveform, state.c, 0), cfg, gamma)
+                    frontier.append(DpwsState(nxt.waveform, nxt.c, 0))
 
 
 class TestConfigValidation:
-    def test_window_shorter_than_counter_rejected(self):
-        with pytest.raises(ValueError):
-            DpwsConfig(counter=4, window_srs=3)
 
     def test_negative_hysteresis_rejected(self):
         with pytest.raises(ValueError):

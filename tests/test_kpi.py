@@ -204,16 +204,22 @@ class TestThroughputStats:
 
 class TestTimingAdvance:
     def test_plain_ratio(self):
-        assert timing_advance_percent(150.0, 300.0) == pytest.approx(50.0)
+        # no jitter: no draw, every row the plain ratio
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        ta = timing_advance_percent(np.array([150.0, 30.0]), 300.0, 0.0, rng, (3, 2))
+        np.testing.assert_array_equal(ta, [[50.0, 10.0]] * 3)
+        assert rng.bit_generator.state == before
 
     def test_jitter_bounds_and_determinism(self):
-        rng = np.random.default_rng(4)
-        vals = [timing_advance_percent(150.0, 300.0, 3.0, rng) for _ in range(200)]
-        assert all(47.0 <= v <= 53.0 for v in vals)
-
-    def test_jitter_requires_rng(self):
-        with pytest.raises(ValueError):
-            timing_advance_percent(10.0, 300.0, 3.0, None)
+        # the jitter is one draw of the whole shape
+        d = np.array([30.0, 150.0, 270.0])
+        ta = timing_advance_percent(d, 300.0, 3.0, np.random.default_rng(4), (200, 3))
+        assert np.all(np.abs(ta - [10.0, 50.0, 90.0]) <= 3.0 + 1e-12)
+        draw = np.random.default_rng(4).uniform(-3.0, 3.0, (200, 3))
+        np.testing.assert_array_equal(ta, np.maximum(100.0 * d / 300.0 + draw, 0.0))
 
     def test_clamped_at_zero(self):
-        assert timing_advance_percent(0.0, 300.0) == 0.0
+        ta = timing_advance_percent(np.array([0.0]), 300.0, 3.0, np.random.default_rng(5), (50, 1))
+        assert ta.min() == 0.0
+        assert np.all(ta >= 0.0)

@@ -1,11 +1,13 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dpwsim.agent import select_action
-from dpwsim.config import SimConfig
+from dpwsim.config import SimConfig, _rebuild
+from dpwsim.dpws_fsm import DpwsConfig
 from dpwsim.kpi import REWARD_FACTOR_IDS
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 from dpwsim.orchestrator import (
@@ -110,7 +112,6 @@ class TestSimulateStep:
     def test_always_threshold_switches_everyone_once(self):
         cfg = tiny_cfg(seed=7, slots=100)
         cfg.dpws.counter = 2
-        cfg.dpws.window_srs = 4
         cfg.dpws.guard_slots = 3
         cell, fading, streams = fresh_cell(cfg)
         events = []
@@ -121,7 +122,6 @@ class TestSimulateStep:
     def test_guard_zeroes_exactly_guard_slots(self):
         cfg = tiny_cfg(seed=8, ues=24, slots=60)
         cfg.dpws.counter = 1
-        cfg.dpws.window_srs = 2
         cfg.dpws.guard_slots = 19
         cfg.cell.fading_rho = 1.0  # freeze fading so throughput is steady
         cell, fading, streams = fresh_cell(cfg)
@@ -142,7 +142,6 @@ class TestSimulateStep:
     def test_waveform_fields_track_switches(self):
         cfg = tiny_cfg(seed=10, slots=80)
         cfg.dpws.counter = 2
-        cfg.dpws.window_srs = 4
         cfg.dpws.guard_slots = 2
         cell, fading, streams = fresh_cell(cfg)
         events = []
@@ -159,7 +158,6 @@ class TestSimulateStep:
         # guard holes); replay both on the identical fading trace
         cfg = tiny_cfg(seed=12, ues=24, slots=80)
         cfg.dpws.counter = 2
-        cfg.dpws.window_srs = 4
         cfg.dpws.guard_slots = 5
 
         def slot_tp(fixed, zeta, dpws_enabled):
@@ -193,6 +191,22 @@ class TestRuns:
         assert len(rows) == 1 + cfg.episode.train_episodes * cfg.episode.train_steps
         for row in rows[1:]:
             [float(cell) for cell in row]  # raises on a cell such as "np.float64(1.5)"
+
+    def test_every_dpws_key_moves_an_output(self, tmp_path):
+        # each field is a [dpws] key, and a run reads it: changing it alone
+        # changes the switch events or the per-step KPIs of a training run
+        changed = dict(zeta_db=3.0, xi_db=2.0, counter=3, guard_slots=5)
+        assert {f.name for f in fields(DpwsConfig)} == set(changed)
+
+        def outputs(name, dpws):
+            out = tmp_path / name
+            run_training(_rebuild(tiny_cfg(seed=23), {"dpws": dpws}), out)
+            return [(out / f).read_bytes() for f in ("switch_events.csv", "kpi_steps.csv")]
+
+        base = outputs("base", {})
+        assert base[0].count(b"\n") > 1  # the default run switches
+        for key, value in changed.items():
+            assert outputs(key, {key: value}) != base, key
 
     def test_actions_come_from_episode_start_weights(self, tmp_path, monkeypatch):
         import dpwsim.orchestrator as orch

@@ -29,7 +29,6 @@ def small_cfg(seed=3, ues=24, slots=40, srs=2, **cell):
     cfg.episode.slots_per_step = slots
     cfg.episode.srs_period_slots = srs
     cfg.dpws.counter = 2
-    cfg.dpws.window_srs = 3
     cfg.dpws.guard_slots = 5
     for key, value in cell.items():
         setattr(cfg.cell, key, value)
@@ -80,7 +79,6 @@ class OracleCell:
         out = []
         for ue in self.ues:
             st = ue.dpws
-            assert st.t == st.c  # why the kernel's machine keeps no timer
             out.append((
                 st.waveform == DFT_S_OFDM, st.c, st.guard_remaining, ue.step_throughput_bps,
                 ue.bearing_slots, ue.outage_slots, ue.guard_slots_used,
@@ -156,13 +154,13 @@ class TestKernelMatchesSlotLoop:
 
     def test_guard_covering_every_sounding_of_a_step(self):
         cfg = small_cfg(seed=4, ues=30, srs=4)
-        cfg.dpws.counter, cfg.dpws.window_srs, cfg.dpws.guard_slots = 1, 2, 76
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 76
         steps = assert_same(cfg, [(math.inf, math.inf)] * 3)[0]
         assert steps[1][0].snr_hist.total == 0  # nobody sounded in step 1
 
     def test_counter_one(self):
         cfg = small_cfg(seed=8)
-        cfg.dpws.counter, cfg.dpws.window_srs = 1, 1
+        cfg.dpws.counter = 1
         assert_same(cfg, VARIED)
 
     def test_sounding_every_slot(self):
@@ -193,7 +191,7 @@ class TestKernelMatchesSlotLoop:
         # inside one step; its 120 soundings span two of the switching
         # machine's windows
         cfg = small_cfg(seed=15, slots=120, srs=1)
-        cfg.dpws.counter, cfg.dpws.window_srs, cfg.dpws.guard_slots = 1, 1, 0
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 0
         events = assert_same(cfg, [(4.0, 0.0)] * 3)[1]
         per_block = {}
         for _, ue, slot, _, _ in events:
