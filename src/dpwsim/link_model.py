@@ -173,9 +173,16 @@ def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: 
     parts = out.view(np.float64)
     parts *= 1.0 / np.sqrt(2.0)
     parts *= np.sqrt(1.0 - rho * rho)
-    for state in out:  # each slot's noise term becomes its state, in place
-        state += rho * h
-        h = state
+    # each slot's noise term becomes its state, in place, on the float64
+    # parts: rho*h on the parts differs from numpy's complex product at most
+    # in the sign of a zero part, which adding a nonzero noise part erases
+    rho = np.float64(rho)
+    prev = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(np.float64)
+    tmp = np.empty_like(prev)
+    for state in out.reshape(n_slots, h.size).view(np.float64):
+        np.multiply(prev, rho, out=tmp)
+        np.add(state, tmp, out=state)
+        prev = state
     return out
 
 

@@ -89,14 +89,6 @@ def qam16_symbols(n, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _map_subcarriers(values: np.ndarray, grid: OfdmGrid) -> np.ndarray:
-    """Place ``values`` contiguously at the grid offset of an all-zero grid,
-    along the last axis."""
-    x = np.zeros(values.shape[:-1] + (grid.n_subcarriers,), dtype=complex)
-    x[..., grid.offset : grid.offset + values.shape[-1]] = values
-    return x
-
-
 def generate_cp_ofdm(d: np.ndarray, w: np.ndarray, grid: OfdmGrid) -> np.ndarray:
     """CP-OFDM symbol: precode ``d`` with the unit-norm column ``w``, map to
     subcarriers and IDFT.
@@ -117,9 +109,12 @@ def generate_cp_ofdm(d: np.ndarray, w: np.ndarray, grid: OfdmGrid) -> np.ndarray
         raise ValueError(f"precoder length {w.size} != {grid.n_tx} ports")
     load = np.sqrt(grid.n_subcarriers / n)
     out = np.empty(d.shape[:-1] + (grid.n_subcarriers, grid.n_tx), dtype=complex)
+    mapped = np.zeros(d.shape[:-1] + (grid.n_subcarriers,), dtype=complex)
+    band = mapped[..., grid.offset : grid.offset + n]
     for port in range(grid.n_tx):
-        mapped = _map_subcarriers(w[port] * d, grid)
-        out[..., port] = load * np.fft.ifft(mapped, axis=-1, norm="ortho")
+        np.multiply(w[port], d, out=band)
+        signal = np.fft.ifft(mapped, axis=-1, norm="ortho", out=out[..., port])
+        np.multiply(load, signal, out=signal)
     return out
 
 
@@ -134,12 +129,15 @@ def generate_dft_s_ofdm(d: np.ndarray, grid: OfdmGrid) -> np.ndarray:
         raise ValueError("empty data block")
     if n > grid.dft_size:
         raise ValueError(f"{n} symbols exceed the DFT size {grid.dft_size}")
-    spread_in = np.zeros(d.shape[:-1] + (grid.dft_size,), dtype=complex)
-    spread_in[..., :n] = d
-    spread = np.fft.fft(spread_in, axis=-1, norm="ortho")
-    mapped = _map_subcarriers(spread, grid)
+    mapped = np.zeros(d.shape[:-1] + (grid.n_subcarriers,), dtype=complex)
+    band = mapped[..., grid.offset : grid.offset + grid.dft_size]
+    # n=dft_size zero-pads the block, as the spreading DFT's input
+    np.fft.fft(d, n=grid.dft_size, axis=-1, norm="ortho", out=band)
     load = np.sqrt(grid.n_subcarriers / n)
-    return load * np.fft.ifft(mapped, axis=-1, norm="ortho")
+    # ufunc overlap rules make the in-place IDFT read its input as if copied
+    np.fft.ifft(mapped, axis=-1, norm="ortho", out=mapped)
+    np.multiply(load, mapped, out=mapped)
+    return mapped
 
 
 def _levels(percentile) -> np.ndarray:
@@ -150,6 +148,24 @@ def _levels(percentile) -> np.ndarray:
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"percentile must be in (0, 1), got {percentile}")
     return levels
+
+
+def _inverted_cdf_quantile(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, levels, method="inverted_cdf")`` of the finite 1-D
+    ``x``, in the shape of ``levels``; partitions ``x`` in place.
+
+    The ranks are numpy's inverted-CDF indices, and the values exact order
+    statistics, selected in two stages: one partition of the whole array at
+    the lowest rank, then one of the tail above it at the rest. A 90 % level
+    makes that tail a tenth of the array, where numpy's one multi-rank
+    partition selects each rank, and the last element, over nearly all of it.
+    """
+    ranks = np.maximum(np.ceil(x.size * levels - 1.0), 0.0).astype(np.intp)
+    low = int(ranks.min())
+    x.partition(low)
+    tail = x[low:]
+    tail.partition((ranks - low).reshape(-1))
+    return tail[ranks - low]
 
 
 def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
@@ -165,7 +181,7 @@ def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
         raise ValueError("signal has non-finite samples")
     if mean == 0.0:
         raise ValueError("all-zero signal has no defined PAPR")
-    peaks = np.quantile(power, levels, method="inverted_cdf", overwrite_input=True)
+    peaks = _inverted_cdf_quantile(power, levels)
     if levels.ndim == 0:
         return float(10.0 * np.log10(peaks / mean))
     return [float(10.0 * np.log10(peak / mean)) for peak in peaks]

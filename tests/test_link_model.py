@@ -147,6 +147,15 @@ class TestFading:
             h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading(h.shape, slot_rng)
             np.testing.assert_array_equal(state, h)
 
+    def test_zero_dim_state_is_carried(self, rng):
+        # iterating a 1-D trajectory yields copies, not views, of its slots
+        h = draw_fading((), rng)
+        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 3)
+        slot_rng = np.random.default_rng(9)
+        for state in traj:
+            h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading((), slot_rng)
+            assert state == h
+
     def test_unit_power_preserved(self, rng):
         h = draw_fading((1000, 1, 2), rng)
         n_steps = 50  # 50 x 1000 elements = 5e4+ evolutions
