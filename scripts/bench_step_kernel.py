@@ -1,0 +1,190 @@
+"""Per-layer timings of the step kernel: the fading trajectory, the AMC
+lookup, the histogram counts and a whole ``simulate_step``, at the ci, desk
+and paper sizes.
+
+    python3 scripts/bench_step_kernel.py --variant after=src \\
+        --variant before=/path/to/older/checkout/src --out BENCH_step_kernel.json
+
+Each ``--variant NAME=SRC`` loads the ``dpwsim`` package found under SRC
+under its own module name, so two versions run in one process and their
+samples interleave: every repeat times every layer of every variant, in an
+order that alternates between repeats, so a drift of the host's speed
+reaches all of them alike. Times are ``time.process_time`` per call;
+``simulate_step`` also reports the minor page faults per step. The result
+gives, per size, layer and variant, the median and quartiles of the
+repeats and the median's ratio to the first variant's, and the machine (core count, python and numpy versions).
+
+The layers run on the inputs a step gives them: the fading call evolves a
+dropped cell's fading over one step (into the cell's kept buffers where the
+variant's ``Cell`` has them), the AMC lookup maps a step's (slot, terminal)
+SNR, the histogram counts bin a step's sounding SNR, and the whole step
+continues one episode at the default thresholds. No benchmark gate reads
+this file's output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIZES = ("ci", "desk", "paper")
+LAYERS = ("evolve_fading", "map_throughput", "_bin_counts", "simulate_step")
+
+
+def load_package(name: str, src: Path):
+    """Import ``src/dpwsim`` as the package ``name``; returns its config,
+    kpi, link_model and orchestrator modules."""
+    root = src / "dpwsim"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    mods = [importlib.import_module(f"{name}.{m}")
+            for m in ("config", "kpi", "link_model", "orchestrator")]
+    return dict(zip(("config", "kpi", "link_model", "orchestrator"), mods))
+
+
+class Case:
+    """One variant at one size: a dropped cell stepping one episode, and
+    the layer calls on that episode's arrays."""
+
+    def __init__(self, pkg, size: str, seed: int):
+        orch, link = pkg["orchestrator"], pkg["link_model"]
+        self.pkg = pkg
+        self.cfg = cfg = pkg["config"].load_config(profile=size, seed=seed)
+        self.streams = orch.episode_streams(seed, orch.STREAM_EVAL, 0)
+        self.cell, self.fading = orch.drop_ues(cfg, self.streams.drop)
+        n_slots, period = cfg.episode.slots_per_step, cfg.episode.srs_period_slots
+        self.rng = np.random.default_rng(seed)
+        traj = link.evolve_fading(self.fading, cfg.cell.fading_rho, self.rng, n_slots)
+        n0 = link.noise_power_dbm(cfg.cell.noise())
+        p_cp = link.transmit_power(cfg.power, self.cell.path_loss_db, link.CP_OFDM)
+        self.snr = link.compute_snr(p_cp, self.cell.path_loss_db, link.precoded_gain(traj), n0)
+        self.gamma = link.compute_snr(
+            p_cp, self.cell.path_loss_db, link.sounding_gain(traj[::period]), n0
+        ).ravel()
+        self.bandwidth = cfg.cell.noise().bandwidth_hz
+        kept = getattr(self.cell, "trajectory", None)
+        self.buffers = {} if kept is None else {"out": kept, "noise": self.cell.fading_noise}
+
+    def evolve_fading(self):
+        cfg = self.cfg
+        self.pkg["link_model"].evolve_fading(
+            self.fading, cfg.cell.fading_rho, self.rng, cfg.episode.slots_per_step,
+            **self.buffers,
+        )
+
+    def map_throughput(self):
+        self.pkg["link_model"].map_throughput(self.snr, self.cfg.mcs, self.bandwidth)
+
+    def _bin_counts(self):
+        kpi = self.pkg["kpi"]
+        kpi._bin_counts(kpi.SNR_BIN_EDGES, self.gamma)
+
+    def simulate_step(self):
+        dpws = self.cfg.dpws
+        _, self.fading = self.pkg["orchestrator"].simulate_step(
+            self.cell, self.fading, dpws.zeta_db, dpws.xi_db, self.cfg, self.streams
+        )
+
+
+def timed(fn, calls: int) -> tuple[float, float]:
+    """Seconds per call and minor page faults per call over ``calls``."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.process_time()
+    for _ in range(calls):
+        fn()
+    dt = time.process_time() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return dt / calls, faults / calls
+
+
+def summary(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--variant", action="append", required=True, metavar="NAME=SRC",
+                    help="a name and the source directory that holds its dpwsim package")
+    ap.add_argument("--repeats", type=int, default=30)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", type=Path, help="write the JSON result here too")
+    args = ap.parse_args(argv)
+    if args.repeats < 4:
+        ap.error("--repeats must be at least 4")
+
+    variants = {}
+    for spec in args.variant:
+        name, sep, src = spec.partition("=")
+        if not sep or not name.isidentifier():
+            ap.error(f"--variant wants NAME=SRC with NAME an identifier, got {spec!r}")
+        variants[name] = load_package(f"dpwsim_{name}", Path(src).resolve())
+    cases = {(v, size): Case(pkg, size, args.seed) for v, pkg in variants.items() for size in SIZES}
+    # calls per sample: enough that a sample is a few milliseconds at ci size
+    calls = {"ci": 8, "desk": 3, "paper": 1}
+
+    names = list(variants)
+    seconds = {key: [] for key in ((v, s, l) for v in names for s in SIZES for l in LAYERS)}
+    faults = {(v, s): [] for v in names for s in SIZES}
+    for case in cases.values():  # warm-up
+        for layer in LAYERS:
+            getattr(case, layer)()
+    for r in range(args.repeats):
+        order = names if r % 2 == 0 else names[::-1]
+        for size in SIZES:
+            for layer in LAYERS:
+                for v in order:
+                    dt, flt = timed(getattr(cases[v, size], layer), calls[size])
+                    seconds[v, size, layer].append(dt)
+                    if layer == "simulate_step":
+                        faults[v, size].append(flt)
+
+    results = {}
+    for size in SIZES:
+        results[size] = {}
+        for layer in LAYERS:
+            entry = {v: {k: x * 1e3 for k, x in summary(seconds[v, size, layer]).items()}
+                     for v in names}
+            first = entry[names[0]]["median"]
+            for v in names:
+                entry[v]["median_over_first"] = entry[v]["median"] / first
+                if layer == "simulate_step":
+                    entry[v]["minor_faults_per_call"] = statistics.median(faults[v, size])
+            results[size][layer] = entry
+    out = {
+        "what": "process_time per call in ms (median and quartiles over the repeats), "
+                "and each median over the first variant's",
+        "variants": names,
+        "repeats": args.repeats,
+        "seed": args.seed,
+        "machine": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
+        "results": results,
+    }
+    text = json.dumps(out, indent=2) + "\n"
+    if args.out is not None:
+        args.out.write_text(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,26 +58,28 @@ class Histogram12:
 
 
 def _bin_counts(edges, values: np.ndarray) -> np.ndarray:
-    # rightmost bin whose half-open interval [edge_i, edge_{i+1}) holds the
-    # value; searching the inner edges only gives total coverage and
-    # clamps values below the first edge into bin 1
-    idx = np.searchsorted(np.asarray(edges[1:-1]), values, side="right")
-    return np.bincount(idx, minlength=N_BINS).astype(np.int64)
+    # bin i holds the values in [edge_i, edge_{i+1}); counting the values at
+    # or above each inner edge and differencing those counts gives total
+    # coverage and clamps values below the first inner edge into bin 1
+    at_or_above = [np.count_nonzero(values >= e) for e in edges[1:-1]]
+    return -np.diff(np.array([values.size, *at_or_above, 0], dtype=np.int64))
 
 
 def bin_snr(h: Histogram12, snr_db) -> Histogram12:
     """Accumulate one or many SNR samples (dB); coverage is total thanks to
-    the infinite outer edges."""
+    the infinite outer edges. NaN is rejected."""
     vals = np.atleast_1d(np.asarray(snr_db, dtype=float))
+    if np.isnan(vals).any():
+        raise ValueError("SNR cannot be NaN")
     return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals))
 
 
 def bin_ta(h: Histogram12, ta_percent) -> Histogram12:
     """Accumulate timing-advance percentage samples; values below the first
-    finite edge are clamped into bin 1, negatives are rejected."""
+    finite edge are clamped into bin 1, negatives and NaN are rejected."""
     vals = np.atleast_1d(np.asarray(ta_percent, dtype=float))
-    if np.any(vals < 0):
-        raise ValueError("timing advance cannot be negative")
+    if not np.all(vals >= 0.0):
+        raise ValueError("timing advance cannot be negative or NaN")
     return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals))
 
 

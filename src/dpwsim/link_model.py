@@ -7,8 +7,9 @@ stated in dBW and converted once at evaluation. Operations accept numpy
 arrays wherever broadcasting makes sense, so the orchestrator evaluates a
 whole step of (slot, terminal) pairs in one call. The gains work on
 (slot, terminal) slabs ``h[..., i, j]`` of the channel, and the AMC mapping
-is one search into a rate table; both avoid passes over short trailing
-axes, which cost more per element than the arithmetic.
+counts the thresholds at or below each SNR into a small integer index of a
+rate table; both avoid passes over short trailing axes and sorted searches,
+which cost more per element than the arithmetic.
 """
 
 from __future__ import annotations
@@ -148,7 +149,15 @@ def draw_fading(shape, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: int) -> np.ndarray:
+def evolve_fading(
+    h: np.ndarray,
+    rho: float,
+    rng: np.random.Generator,
+    n_slots: int,
+    *,
+    out: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
     """Trajectory of ``n_slots`` Gauss-Markov steps ``h' = rho*h +
     sqrt(1-rho^2)*w`` with w drawn CN(0, 1) per element; preserves unit
     mean element power. Returns an array of shape ``(n_slots,) + h.shape``
@@ -159,14 +168,33 @@ def evolve_fading(h: np.ndarray, rho: float, rng: np.random.Generator, n_slots: 
     its real and imaginary parts, so a long trajectory holds only the draw
     and the result, not three complex temporaries of its size as well.
     ``rho == 1`` freezes the state and draws nothing.
+
+    ``out`` (complex, ``(n_slots,) + h.shape``) and ``noise`` (float64,
+    ``(n_slots, 2) + h.shape``), when given, are C-contiguous buffers that
+    receive the trajectory and the draw, and ``out`` is returned: a caller
+    that steps the same shape again and again keeps them, and pays no fresh
+    pages per call. ``rng.standard_normal(out=noise)`` draws the same values
+    and leaves the same generator state as an allocating draw. ``h`` must
+    not share memory with ``out``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    shape = (n_slots,) + h.shape
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     if rho == 1.0:
-        return np.repeat(h[np.newaxis], n_slots, axis=0)
-    z = rng.standard_normal((n_slots, 2) + h.shape)
-    out = np.empty((n_slots,) + h.shape, dtype=complex)
-    out.real, out.imag = z[:, 0], z[:, 1]
+        out[...] = h
+        return out
+    noise_shape = (n_slots, 2) + h.shape
+    if noise is None:
+        noise = np.empty(noise_shape)
+    elif noise.shape != noise_shape:
+        raise ValueError(f"noise must have shape {noise_shape}, got {noise.shape}")
+    # checks noise's dtype (float64) and contiguity itself
+    rng.standard_normal(out=noise)
+    out.real, out.imag = noise[:, 0], noise[:, 1]
     # sqrt(1-rho^2) * (z_re + 1j*z_im) / sqrt(2) on the real and imaginary
     # parts, rounded as numpy's complex arithmetic rounds it: dividing by a
     # real scales each part by 1/sqrt(2), then each part is scaled
@@ -254,11 +282,20 @@ def compute_snr(p_out_dbm, pl_db, h_eff_gain, n0_dbm):
 def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
     """AMC lookup: highest entry whose threshold is <= SNR (closed lower
     bound). Returns (throughput bits/s, outage flag); below the lowest
-    threshold the terminal is in outage with zero throughput.
+    threshold, and for a NaN SNR, the terminal is in outage with zero
+    throughput.
 
-    One search into the thresholds indexes a table whose entry 0 is the
-    outage throughput and entry k the k-th rate."""
+    The number of thresholds at or below each SNR, counted in a small
+    unsigned integer (uint8 for the default table) over one comparison
+    pass per threshold, indexes a table whose entry 0 is the outage
+    throughput and entry k the k-th rate. A NaN compares false against
+    every threshold, so it counts 0. Scalars give numpy scalars."""
     snr = np.asarray(snr_db, dtype=float)
-    idx = np.searchsorted(mcs.thresholds, snr, side="right")
+    thresholds = mcs.thresholds
+    idx = np.zeros(snr.shape, dtype=np.min_scalar_type(len(thresholds)))
+    at_or_above = np.empty(snr.shape, dtype=bool)
+    for t in thresholds:
+        np.greater_equal(snr, t, out=at_or_above)
+        idx += at_or_above
     table = np.concatenate(([0.0], mcs.efficiencies * bandwidth_hz))
     return table[idx], idx == 0

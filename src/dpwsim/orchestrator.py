@@ -83,11 +83,17 @@ STREAM_TRAIN, STREAM_EVAL, STREAM_AGENT, STREAM_PAPR = 0, 1, 2, 3
 class Cell:
     """The dropped terminals as arrays, one entry per terminal (its index is
     its ``ue_id``): geometry with the frozen shadowing folded into the path
-    loss, switching state, and the outcomes of the last step. Everyone
-    starts on the multi-port waveform with a cleared switching machine."""
+    loss, the step's fading buffers, switching state, and the outcomes of
+    the last step. Everyone starts on the multi-port waveform with a
+    cleared switching machine."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
+    # every step's fading draw and trajectory go into these two buffers
+    # (see link_model.evolve_fading); they live as long as the cell, so an
+    # episode reuses its pages and a run does not keep them past it
+    fading_noise: np.ndarray
+    trajectory: np.ndarray
     # switching state: on DFT-S-OFDM, the occasion counter, and the guard
     # slots carried into the next step
     is_df: np.ndarray = field(init=False)
@@ -132,15 +138,22 @@ def agent_rng(seed: int) -> np.random.Generator:
 
 def drop_ues(cfg: SimConfig, rng: np.random.Generator) -> tuple[Cell, np.ndarray]:
     """Uniform distances in the configured annulus, per-terminal lognormal
-    shadowing frozen for the episode, fresh fading; returns the cell and
-    its (terminal, rx, tx) fading array."""
+    shadowing frozen for the episode, fresh fading; returns the cell, with
+    fading buffers for steps of ``slots_per_step`` slots, and its
+    (terminal, rx, tx) fading array."""
     n = cfg.episode.ues_per_episode
+    n_slots = cfg.episode.slots_per_step
     cell = cfg.cell
     distances = rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n)
     shadow = rng.normal(0.0, cell.shadowing_sigma_db, size=n)
     fading = draw_fading((n, cell.n_rx, 2), rng)
     pl = path_loss_uma(distances, cell.carrier_ghz) + shadow
-    return Cell(distance_m=distances, path_loss_db=pl), fading
+    return Cell(
+        distance_m=distances,
+        path_loss_db=pl,
+        fading_noise=np.empty((n_slots, 2) + fading.shape),
+        trajectory=np.empty((n_slots,) + fading.shape, dtype=complex),
+    ), fading
 
 
 def simulate_step(
@@ -171,7 +184,8 @@ def simulate_step(
     terminal) slabs of the trajectory (see ``link_model.precoded_gain``).
 
     Reads the switching state from ``cell`` and writes back the new state
-    and the step's per-terminal outcomes; returns the report and the
+    and the step's per-terminal outcomes; the trajectory is evolved in the
+    cell's kept fading buffers. Returns the report and a copy of the
     evolved fading array. ``trace``, when given, receives the per-slot
     (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
     """
@@ -190,7 +204,10 @@ def simulate_step(
     # channel and sounding SNR gamma. gamma uses a waveform-independent
     # power reference (the multi-port cap), so a switch does not shift
     # gamma by the back-off gap and thresholds compare like with like.
-    traj = evolve_fading(fading, cell_cfg.fading_rho, streams.fading, n_slots)
+    traj = evolve_fading(
+        fading, cell_cfg.fading_rho, streams.fading, n_slots,
+        out=cell.trajectory, noise=cell.fading_noise,
+    )
     gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
 
     # switching machine over the step's soundings, then the per-slot masks
@@ -242,14 +259,21 @@ def simulate_step(
     # sounding statistics over the heard terminals of the soundings that
     # hear anyone; only those soundings draw timing-advance jitter, in one
     # draw of all their rows. gamma is summed per sounding over its heard
-    # terminals (a row sum when all are heard), then over soundings in slot
-    # order: a running sum, not numpy's pairwise one.
+    # terminals, then over soundings in slot order: a running sum, not
+    # numpy's pairwise one. A sounding that hears all is a row sum; the
+    # others are grouped by how many they hear, m, and each group's heard
+    # values are packed into contiguous rows of length m, whose row sums
+    # add in numpy's pairwise order exactly as the 1-D sum of one row's
+    # heard values does.
     heard = ~silent[::period]
     sounded = heard.any(axis=1)
     gamma, heard = gamma[sounded], heard[sounded]
     sums = gamma.sum(axis=1)
-    for k in np.flatnonzero(~heard.all(axis=1)):
-        sums[k] = gamma[k, heard[k]].sum()
+    partly = np.flatnonzero(~heard.all(axis=1))
+    n_heard = heard[partly].sum(axis=1)
+    for m in np.unique(n_heard).tolist():
+        rows = partly[n_heard == m]
+        sums[rows] = gamma[rows][heard[rows]].reshape(len(rows), m).sum(axis=1)
     gamma_n = int(heard.sum())
     ta = timing_advance_percent(
         cell.distance_m, cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct, streams.ta,

@@ -11,6 +11,7 @@ from dpwsim.kpi import (
     SNR_BIN_EDGES,
     TA_BIN_EDGES,
     ThroughputStats,
+    _bin_counts,
     bin_snr,
     bin_ta,
     descriptor_d,
@@ -18,6 +19,34 @@ from dpwsim.kpi import (
     throughput_percentiles,
     timing_advance_percent,
 )
+
+
+def searched_bin_counts(edges, values):
+    """The search-and-count form that ``_bin_counts`` replaced."""
+    idx = np.searchsorted(np.asarray(edges[1:-1]), np.ravel(values), side="right")
+    return np.bincount(idx, minlength=12).astype(np.int64)
+
+
+def edge_values(edges):
+    """Every edge, the float one ulp below it, and both infinities."""
+    values = [v for e in edges for v in (e, math.nextafter(e, -math.inf))]
+    return np.array(values + [-math.inf, math.inf])
+
+
+@st.composite
+def binning_inputs(draw):
+    edges = draw(st.sampled_from([SNR_BIN_EDGES, TA_BIN_EDGES]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    near = st.floats(-20.0, 130.0, allow_nan=False)
+    values = draw(st.lists(st.one_of(finite, near, st.sampled_from(list(edge_values(edges)))),
+                           max_size=300))
+    shape = draw(st.sampled_from(["1-d", "0-d", "2-d"]))
+    arr = np.array(values, dtype=float)
+    if shape == "0-d" and values:
+        arr = np.array(values[0])
+    elif shape == "2-d" and len(values) % 3 == 0:
+        arr = arr.reshape(3, -1)
+    return edges, arr
 
 
 def uniform_hist(edges=SNR_BIN_EDGES):
@@ -72,6 +101,35 @@ class TestBinning:
     def test_ta_negative_rejected(self):
         with pytest.raises(ValueError):
             bin_ta(Histogram12(edges=TA_BIN_EDGES), -1.0)
+
+    def test_ta_nan_rejected(self):
+        for values in (math.nan, [50.0, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                bin_ta(Histogram12(edges=TA_BIN_EDGES), values)
+
+    def test_snr_nan_rejected(self):
+        # searchsorted sorted NaN last, into the top bin
+        for values in (math.nan, [3.0, math.nan, -math.inf]):
+            with pytest.raises(ValueError, match="NaN"):
+                bin_snr(Histogram12(), values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(binning_inputs())
+    def test_counting_equals_search(self, case):
+        edges, values = case
+        got = _bin_counts(edges, values)
+        assert got.dtype == np.int64 and got.shape == (12,)
+        np.testing.assert_array_equal(got, searched_bin_counts(edges, values))
+
+    @pytest.mark.parametrize("edges", [SNR_BIN_EDGES, TA_BIN_EDGES])
+    def test_counting_at_every_edge(self, edges):
+        values = edge_values(edges)
+        np.testing.assert_array_equal(_bin_counts(edges, values), searched_bin_counts(edges, values))
+        for v in values:
+            np.testing.assert_array_equal(_bin_counts(edges, np.array(v)),
+                                          searched_bin_counts(edges, v))
+        empty = _bin_counts(edges, np.zeros(0))
+        assert empty.dtype == np.int64 and not empty.any()
 
     def test_total_tracks_samples(self):
         rng = np.random.default_rng(0)

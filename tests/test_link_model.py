@@ -1,3 +1,4 @@
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -166,6 +167,65 @@ class TestFading:
     def test_bad_rho_rejected(self, rng):
         with pytest.raises(ValueError):
             evolve_fading(draw_fading((1, 2), rng), 1.5, rng, 1)
+
+    @staticmethod
+    def buffers(h, n_slots):
+        return (np.full((n_slots,) + h.shape, np.nan, dtype=complex),
+                np.full((n_slots, 2) + h.shape, np.nan))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (50, 1, 2), (7, 2, 2)])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 0.99, 1.0])
+    def test_caller_buffers_equal_the_allocating_form(self, rng, shape, rho):
+        # the kept buffers give the same bits and leave the generator where
+        # the allocating form leaves it, over several calls through the same
+        # buffers, as a step after step does
+        h = draw_fading(shape, rng)
+        n_slots = 13
+        out, noise = self.buffers(h, n_slots)
+        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+        h_mine = h_ref = h
+        for _ in range(3):
+            twin = copy.deepcopy(mine)  # draws what this call draws
+            traj = evolve_fading(h_mine, rho, mine, n_slots, out=out, noise=noise)
+            want = evolve_fading(h_ref, rho, ref, n_slots)
+            assert traj is out and np.shares_memory(traj, out)
+            np.testing.assert_array_equal(traj, want)
+            assert mine.bit_generator.state == ref.bit_generator.state
+            if rho < 1.0:  # the draw went into the given buffer
+                np.testing.assert_array_equal(noise, twin.standard_normal(noise.shape))
+            h_mine, h_ref = traj[-1].copy(), want[-1].copy()
+
+    def test_rho_one_fills_the_buffer_and_draws_nothing(self, rng):
+        h = draw_fading((4, 1, 2), rng)
+        out, noise = self.buffers(h, 3)
+        before = rng.bit_generator.state
+        traj = evolve_fading(h, 1.0, rng, 3, out=out, noise=noise)
+        assert traj is out
+        for state in traj:
+            np.testing.assert_array_equal(state, h)
+        assert rng.bit_generator.state == before
+        assert np.isnan(noise).all()  # the draw buffer is not touched
+
+    def test_zero_dim_state_through_buffers(self, rng):
+        h = draw_fading((), rng)
+        out, noise = self.buffers(h, 4)
+        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 4, out=out, noise=noise)
+        slot_rng = np.random.default_rng(9)
+        for state in traj:
+            h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading((), slot_rng)
+            assert state == h
+
+    def test_mismatched_buffers_rejected(self, rng):
+        h = draw_fading((5, 1, 2), rng)
+        out, noise = self.buffers(h, 4)
+        for bad_out in (out[:3], out.astype(np.complex64),
+                        np.empty((4, 5, 1, 4), dtype=complex)[..., ::2]):
+            with pytest.raises(ValueError):
+                evolve_fading(h, 0.7, rng, 4, out=bad_out, noise=noise)
+        with pytest.raises(ValueError):
+            evolve_fading(h, 0.7, rng, 4, out=out, noise=noise[:1])
+        with pytest.raises(TypeError):
+            evolve_fading(h, 0.7, rng, 4, out=out, noise=noise.astype(np.float32))
 
 
 def entry_gains(h):
@@ -375,6 +435,39 @@ class TestAmc:
             np.testing.assert_array_equal(got, want)
         for x in (-6.0, -6.01, 19.8, 45.0, -np.inf):
             assert map_throughput(x, mcs, 3.6e6) == reference_map_throughput(x, mcs, 3.6e6)
+
+    def test_nan_snr_is_outage(self):
+        mcs = McsTable()
+        assert map_throughput(np.nan, mcs, 3.6e6) == (0.0, True)
+        tp, outage = map_throughput([np.nan, 30.0, -np.inf], mcs, 3.6e6)
+        np.testing.assert_array_equal(tp, [0.0, mcs.efficiencies[-1] * 3.6e6, 0.0])
+        np.testing.assert_array_equal(outage, [True, False, True])
+
+    def test_counted_index_keeps_the_input_shape(self, rng):
+        # 2-D as in a step, 0-d as a scalar call, and empty
+        mcs = McsTable()
+        snr = rng.uniform(-30.0, 40.0, (37, 11))
+        snr[::5, ::3] = mcs.thresholds[rng.integers(0, 15, snr[::5, ::3].shape)]
+        tp, outage = map_throughput(snr, mcs, 3.6e6)
+        want_tp, want_outage = reference_map_throughput(snr, mcs, 3.6e6)
+        assert tp.shape == outage.shape == (37, 11)
+        np.testing.assert_array_equal(tp, want_tp)
+        np.testing.assert_array_equal(outage, want_outage)
+        tp, outage = map_throughput(np.float64(-6.0), mcs, 3.6e6)
+        assert np.ndim(tp) == np.ndim(outage) == 0
+        assert (tp, outage) == reference_map_throughput(-6.0, mcs, 3.6e6)
+        tp, outage = map_throughput(np.zeros((0, 4)), mcs, 3.6e6)
+        assert tp.shape == outage.shape == (0, 4)
+        assert tp.dtype == float and outage.dtype == bool
+
+    def test_long_table_does_not_wrap_the_count(self):
+        # 300 thresholds count past the 255 of a uint8
+        mcs = McsTable(entries=tuple((float(k), 0.01 * (k + 1)) for k in range(300)))
+        snr = np.array([-1.0, 0.0, 254.0, 255.0, 256.5, 299.0, 1e9])
+        tp, outage = map_throughput(snr, mcs, 1.0)
+        want_tp, want_outage = reference_map_throughput(snr, mcs, 1.0)
+        np.testing.assert_array_equal(tp, want_tp)
+        np.testing.assert_array_equal(outage, want_outage)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

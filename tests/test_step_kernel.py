@@ -42,7 +42,15 @@ class KernelCell:
         self.cell = cell
 
     def step(self, *args, **kwargs):
-        return simulate_step(self.cell, *args, **kwargs)
+        cell = self.cell
+        kept = cell.trajectory, cell.fading_noise
+        report, fading = simulate_step(cell, *args, **kwargs)
+        # every step evolves its trajectory in the cell's kept buffers and
+        # returns a copy of the last state, not a view into them
+        assert cell.trajectory is kept[0] and cell.fading_noise is kept[1]
+        np.testing.assert_array_equal(fading, cell.trajectory[-1])
+        assert not np.shares_memory(fading, cell.trajectory)
+        return report, fading
 
     def terminals(self):
         """Per terminal: (is_df, c, guard_end, throughput, bearing, outage,
@@ -204,6 +212,23 @@ class TestKernelMatchesSlotLoop:
         # which the switching machine takes in windows of 64 and 36
         cfg = small_cfg(seed=12, ues=20, slots=300, srs=3)
         assert_same(cfg, VARIED[:2])
+
+    def test_paper_width_partly_heard_soundings(self):
+        # 50 terminals, one occasion to switch and a 19-slot guard: the
+        # soundings hear between 5 and 49 terminals, so the grouped row
+        # sums of the partly-heard ones run on lengths below 8 (numpy's
+        # plain loop), from 8 up (its unrolled pairwise sum), and on both
+        # sides of 16
+        cfg = small_cfg(seed=3, ues=50, slots=200, srs=2)
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 19
+        steps, events = assert_same(cfg, [(8.0, 2.0), (4.0, 0.0), (12.0, 1.0)])[:2]
+        assert events
+        counts = set()
+        for _, _, _, trace in steps:
+            heard = (~trace["silent"][::2]).sum(axis=1)
+            counts |= set(heard[(heard > 0) & (heard < 50)].tolist())
+        for lo, hi in ((1, 7), (9, 15), (17, 49)):
+            assert any(lo <= m <= hi for m in counts), (lo, hi, sorted(counts))
 
     def test_several_receive_antennas(self):
         assert_same(small_cfg(seed=13, n_rx=4), VARIED[:2])
