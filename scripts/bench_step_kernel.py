@@ -1,9 +1,9 @@
 """Per-layer timings of the step kernel: the fading trajectory, the AMC
 lookup, the histogram counts and a whole ``simulate_step``, at the ci, desk
-and paper sizes.
+and paper sizes; and the step of several episodes at once, as lanes.
 
     python3 scripts/bench_step_kernel.py --variant after=src \\
-        --variant before=/path/to/older/checkout/src --out BENCH_step_kernel.json
+        --variant before=/path/to/older/checkout/src --out BENCH_lanes.json
 
 Each ``--variant NAME=SRC`` loads the ``dpwsim`` package found under SRC
 under its own module name, so two versions run in one process and their
@@ -18,8 +18,14 @@ The layers run on the inputs a step gives them: the fading call evolves a
 dropped cell's fading over one step (into the cell's kept buffers where the
 variant's ``Cell`` has them), the AMC lookup maps a step's (slot, terminal)
 SNR, the histogram counts bin a step's sounding SNR, and the whole step
-continues one episode at the default thresholds. No benchmark gate reads
-this file's output.
+continues one episode at the default thresholds.
+
+The lane figures step L episodes (1, 4 and 8 at ci and desk size, 1 and 2
+at paper size) at the default thresholds: as the lanes of one cell where
+the variant's orchestrator has lane cells, and one cell after the other
+where it has not. They give the time per episode-step and the minor page
+faults per step of all L episodes. No benchmark gate reads this file's
+output.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 
 SIZES = ("ci", "desk", "paper")
 LAYERS = ("evolve_fading", "map_throughput", "_bin_counts", "simulate_step")
+LANES = {"ci": (1, 4, 8), "desk": (1, 4, 8), "paper": (1, 2)}
 
 
 def load_package(name: str, src: Path):
@@ -78,11 +85,14 @@ class Case:
         self.bandwidth = cfg.cell.noise().bandwidth_hz
         kept = getattr(self.cell, "trajectory", None)
         self.buffers = {} if kept is None else {"out": kept, "noise": self.cell.fading_noise}
+        # a lane cell's draw buffer is laid out per lane, for a sequence of
+        # generators
+        self.fading_rng = [self.rng] if hasattr(self.cell, "lane") else self.rng
 
     def evolve_fading(self):
         cfg = self.cfg
         self.pkg["link_model"].evolve_fading(
-            self.fading, cfg.cell.fading_rho, self.rng, cfg.episode.slots_per_step,
+            self.fading, cfg.cell.fading_rho, self.fading_rng, cfg.episode.slots_per_step,
             **self.buffers,
         )
 
@@ -98,6 +108,29 @@ class Case:
         _, self.fading = self.pkg["orchestrator"].simulate_step(
             self.cell, self.fading, dpws.zeta_db, dpws.xi_db, self.cfg, self.streams
         )
+
+
+class LaneCase:
+    """One variant at one size: ``lanes`` evaluation episodes stepped at
+    the default thresholds, as the lanes of one cell or one cell each."""
+
+    def __init__(self, pkg, size: str, seed: int, lanes: int):
+        orch = pkg["orchestrator"]
+        self.simulate_step = orch.simulate_step
+        self.cfg = cfg = pkg["config"].load_config(profile=size, seed=seed)
+        streams = [orch.episode_streams(seed, orch.STREAM_EVAL, e) for e in range(lanes)]
+        if hasattr(orch.Cell, "lane"):
+            self.cells = [[*orch.drop_ues(cfg, [s.drop for s in streams]), streams]]
+        else:
+            self.cells = [[*orch.drop_ues(cfg, s.drop), s] for s in streams]
+
+    def step(self):
+        dpws = self.cfg.dpws
+        for entry in self.cells:
+            cell, fading, streams = entry
+            _, entry[1] = self.simulate_step(
+                cell, fading, dpws.zeta_db, dpws.xi_db, self.cfg, streams
+            )
 
 
 def timed(fn, calls: int) -> tuple[float, float]:
@@ -124,8 +157,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, help="write the JSON result here too")
     args = ap.parse_args(argv)
-    if args.repeats < 4:
-        ap.error("--repeats must be at least 4")
+    if args.repeats < 2:
+        ap.error("--repeats must be at least 2")
 
     variants = {}
     for spec in args.variant:
@@ -134,15 +167,21 @@ def main(argv=None) -> int:
             ap.error(f"--variant wants NAME=SRC with NAME an identifier, got {spec!r}")
         variants[name] = load_package(f"dpwsim_{name}", Path(src).resolve())
     cases = {(v, size): Case(pkg, size, args.seed) for v, pkg in variants.items() for size in SIZES}
+    lane_cases = {(v, size, lanes): LaneCase(pkg, size, args.seed, lanes)
+                  for v, pkg in variants.items() for size in SIZES for lanes in LANES[size]}
     # calls per sample: enough that a sample is a few milliseconds at ci size
     calls = {"ci": 8, "desk": 3, "paper": 1}
 
     names = list(variants)
     seconds = {key: [] for key in ((v, s, l) for v in names for s in SIZES for l in LAYERS)}
     faults = {(v, s): [] for v in names for s in SIZES}
+    lane_seconds = {key: [] for key in lane_cases}
+    lane_faults = {key: [] for key in lane_cases}
     for case in cases.values():  # warm-up
         for layer in LAYERS:
             getattr(case, layer)()
+    for case in lane_cases.values():
+        case.step()
     for r in range(args.repeats):
         order = names if r % 2 == 0 else names[::-1]
         for size in SIZES:
@@ -152,6 +191,11 @@ def main(argv=None) -> int:
                     seconds[v, size, layer].append(dt)
                     if layer == "simulate_step":
                         faults[v, size].append(flt)
+            for lanes in LANES[size]:
+                for v in order:
+                    dt, flt = timed(lane_cases[v, size, lanes].step, max(1, calls[size] // lanes))
+                    lane_seconds[v, size, lanes].append(dt / lanes)
+                    lane_faults[v, size, lanes].append(flt)
 
     results = {}
     for size in SIZES:
@@ -165,6 +209,16 @@ def main(argv=None) -> int:
                 if layer == "simulate_step":
                     entry[v]["minor_faults_per_call"] = statistics.median(faults[v, size])
             results[size][layer] = entry
+    lane_results = {}
+    for size in SIZES:
+        lane_results[size] = {}
+        for lanes in LANES[size]:
+            entry = {v: {k: x * 1e3 for k, x in summary(lane_seconds[v, size, lanes]).items()}
+                     for v in names}
+            for v in names:
+                entry[v]["median_over_first"] = entry[v]["median"] / entry[names[0]]["median"]
+                entry[v]["minor_faults_per_call"] = statistics.median(lane_faults[v, size, lanes])
+            lane_results[size][str(lanes)] = entry
     out = {
         "what": "process_time per call in ms (median and quartiles over the repeats), "
                 "and each median over the first variant's",
@@ -178,6 +232,10 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "results": results,
+        "lanes_what": "simulate_step time per episode-step in ms with L episodes stepped "
+                      "together (median and quartiles over the repeats), each median over "
+                      "the first variant's, and the minor page faults per step of all L",
+        "lanes": lane_results,
     }
     text = json.dumps(out, indent=2) + "\n"
     if args.out is not None:

@@ -13,9 +13,10 @@ of slots.
 
 ``on_srs`` steps one terminal through one reception. The simulator runs
 ``on_srs_block``, which takes all terminals through all soundings of a
-step at once and works once per switch in each window of soundings rather
-than once per sounding: a terminal's counter at any sounding is just the
-length of its current run of occasions.
+step at once, each under its own thresholds if given (so episodes run as
+lanes of one step keep theirs), and works once per switch in each window
+of soundings rather than once per sounding: a terminal's counter at any
+sounding is just the length of its current run of occasions.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def on_srs_block(
     gamma_db: np.ndarray,
     sounding_slots: np.ndarray,
     cfg: DpwsConfig,
+    zeta_db=None,
+    xi_db=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``on_srs`` over a run of soundings for many terminals at once.
 
@@ -95,6 +98,10 @@ def on_srs_block(
     terminals on DFT-S-OFDM and ``c`` holds their occasion counters. A
     terminal hears the soundings at or after its ``guard_end`` slot; a
     switch at slot s sets ``guard_end`` to s + 1 + ``cfg.guard_slots``.
+    ``zeta_db`` and ``xi_db``, when given, replace ``cfg``'s thresholds by
+    one per terminal (or any shape that broadcasts over the terminals), so
+    terminals under different thresholds share one call; a terminal's
+    switches depend on its own thresholds alone.
 
     The soundings are taken in windows of ``WINDOW_SOUNDINGS`` rows, and a
     window is processed once per switch, not once per sounding: from a
@@ -110,14 +117,21 @@ def on_srs_block(
     Returns the new (is_df, c, guard_end) and the switches as (sounding
     index, terminal index) arrays, sorted by sounding and then terminal.
     """
+    zeta = cfg.zeta_db if zeta_db is None else np.asarray(zeta_db, dtype=float)
+    xi = cfg.xi_db if xi_db is None else np.asarray(xi_db, dtype=float)
+    if (np.asarray(xi) < 0).any():
+        raise ValueError("hysteresis must be nonnegative")
+    # -inf + inf is NaN, as in float arithmetic: no sounding lies above it
+    with np.errstate(invalid="ignore"):
+        upper = zeta + xi
     c = np.array(c, dtype=np.int64)
     is_df, guard_end = is_df.copy(), np.array(guard_end, dtype=np.int64)
     sw_snd, sw_ue = [], []
     for w0 in range(0, len(sounding_slots), WINDOW_SOUNDINGS):
         slots = sounding_slots[w0:w0 + WINDOW_SOUNDINGS]
         gamma = gamma_db[w0:w0 + WINDOW_SOUNDINGS]
-        below = gamma < cfg.zeta_db
-        above = gamma > cfg.zeta_db + cfg.xi_db
+        below = gamma < zeta
+        above = gamma > upper
         n_snd = len(slots)
         rows = np.arange(n_snd)[:, None]
         first = np.searchsorted(slots, guard_end)

@@ -152,7 +152,7 @@ def draw_fading(shape, rng: np.random.Generator) -> np.ndarray:
 def evolve_fading(
     h: np.ndarray,
     rho: float,
-    rng: np.random.Generator,
+    rng,
     n_slots: int,
     *,
     out: np.ndarray | None = None,
@@ -163,19 +163,25 @@ def evolve_fading(
     mean element power. Returns an array of shape ``(n_slots,) + h.shape``
     whose last entry is the final state.
 
-    The noise of all slots comes from one draw, laid out so that it equals
-    one ``draw_fading(h.shape, rng)`` per slot, and is scaled in place on
-    its real and imaginary parts, so a long trajectory holds only the draw
-    and the result, not three complex temporaries of its size as well.
-    ``rho == 1`` freezes the state and draws nothing.
+    ``rng`` is one generator, or a sequence of L generators, one per lane:
+    the first axis of ``h`` then holds L equal lanes back to back, and lane
+    l's noise comes from ``rng[l]`` alone, exactly as if its lane were
+    evolved by itself. Each lane's noise of all slots comes from one draw,
+    laid out so that it equals one ``draw_fading(lane_shape, rng)`` per
+    slot; the draws are interleaved into the trajectory and scaled in place
+    on its real and imaginary parts, and the recurrence then runs once for
+    all lanes. A long trajectory holds only the draw and the result, not
+    three complex temporaries of its size as well. ``rho == 1`` freezes the
+    state and draws nothing.
 
     ``out`` (complex, ``(n_slots,) + h.shape``) and ``noise`` (float64,
-    ``(n_slots, 2) + h.shape``), when given, are C-contiguous buffers that
-    receive the trajectory and the draw, and ``out`` is returned: a caller
-    that steps the same shape again and again keeps them, and pays no fresh
-    pages per call. ``rng.standard_normal(out=noise)`` draws the same values
-    and leaves the same generator state as an allocating draw. ``h`` must
-    not share memory with ``out``.
+    ``(n_slots, 2) + h.shape`` for one generator, ``(L, n_slots, 2,
+    len(h) // L) + h.shape[1:]`` for L), when given, are C-contiguous
+    buffers that receive the trajectory and the draws, and ``out`` is
+    returned: a caller that steps the same shape again and again keeps
+    them, and pays no fresh pages per call. ``rng.standard_normal(out=)``
+    draws the same values and leaves the same generator state as an
+    allocating draw. ``h`` must not share memory with ``out``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -187,14 +193,26 @@ def evolve_fading(
     if rho == 1.0:
         out[...] = h
         return out
-    noise_shape = (n_slots, 2) + h.shape
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    lanes = len(rngs)
+    if not single and (lanes == 0 or h.ndim == 0 or len(h) % lanes):
+        raise ValueError(f"{lanes} lanes do not split a state of shape {h.shape}")
+    # one lane's draw is (n_slots, 2) + its state's shape; a single
+    # generator's buffer has no lane axis
+    lane_shape = (n_slots, 2) + (h.shape if single else (len(h) // lanes,) + h.shape[1:])
+    noise_shape = lane_shape if single else (lanes,) + lane_shape
     if noise is None:
         noise = np.empty(noise_shape)
     elif noise.shape != noise_shape:
         raise ValueError(f"noise must have shape {noise_shape}, got {noise.shape}")
     # checks noise's dtype (float64) and contiguity itself
-    rng.standard_normal(out=noise)
-    out.real, out.imag = noise[:, 0], noise[:, 1]
+    draws = noise.reshape((lanes,) + lane_shape)
+    for lane_rng, draw in zip(rngs, draws):
+        lane_rng.standard_normal(out=draw)
+    # lane l's draw of slot s fills the trajectory's terminals of lane l
+    lanes_out = out.reshape((n_slots, lanes) + lane_shape[2:])
+    lanes_out.real, lanes_out.imag = draws[:, :, 0].swapaxes(0, 1), draws[:, :, 1].swapaxes(0, 1)
     # sqrt(1-rho^2) * (z_re + 1j*z_im) / sqrt(2) on the real and imaginary
     # parts, rounded as numpy's complex arithmetic rounds it: dividing by a
     # real scales each part by 1/sqrt(2), then each part is scaled

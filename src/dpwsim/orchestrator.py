@@ -1,7 +1,7 @@
 """Episode runner: drops terminals, advances the cell one step at a time
 under the thresholds a policy picks, aggregates KPIs, steps the learning
 agent and writes all run artifacts. Training, evaluation and both
-fixed-waveform baselines share one episode loop (``_episode``): the policy
+fixed-waveform baselines share one episode loop (``_episodes``): the policy
 is epsilon-greedy while training, greedy in evaluation and absent in a
 baseline. One function (``_write_csv``) writes every CSV file of a run.
 
@@ -12,6 +12,15 @@ from a fixed number of numpy calls over the whole step, and the switching
 machine takes all of its soundings in one call. The slot-by-slot loop it
 replaces is kept as a test oracle (``tests/step_reference.py``); both give
 identical outputs.
+
+A cell can hold several episodes as lanes: their terminals lie lane-major
+in its arrays, each lane draws from its own streams and under its own
+thresholds, and one step advances them all, each lane keeping the bytes it
+would have alone. Evaluation and the baselines run their episodes in
+contiguous lane groups (``lane_groups``), as many lanes per group as keep
+a step within ``LANE_TERMINAL_SLOTS`` terminal-slots, and ``--jobs``
+workers share the groups. Training runs one lane per episode, because each
+episode acts on the network the one before it trained.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -27,8 +36,9 @@ import copy
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -78,22 +88,34 @@ from .link_model import (
 # substream labels under the run seed
 STREAM_TRAIN, STREAM_EVAL, STREAM_AGENT, STREAM_PAPR = 0, 1, 2, 3
 
+# terminal-slots of one step of a lane group at most: one paper-size step
+# (50 terminals, 1000 slots). Steps this wide are bound by their width:
+# two paper-size lanes took 1.08x less time per episode-step than one,
+# where at ci size (20 x 200), bound by the per-call cost, 8 lanes took
+# 1.68x less (BENCH_lanes.json)
+LANE_TERMINAL_SLOTS = 50_000
+
 
 @dataclass
 class Cell:
-    """The dropped terminals as arrays, one entry per terminal (its index is
-    its ``ue_id``): geometry with the frozen shadowing folded into the path
+    """The dropped terminals of one or more episodes as arrays, one entry
+    per terminal: geometry with the frozen shadowing folded into the path
     loss, the step's fading buffers, switching state, and the outcomes of
-    the last step. Everyone starts on the multi-port waveform with a
-    cleared switching machine."""
+    the last step. The episodes are the cell's lanes, laid out lane-major:
+    terminal i of lane l is entry ``l * n + i`` (``i`` is its ``ue_id``),
+    and ``len(cell)`` counts the terminals of all lanes. Everyone starts on
+    the multi-port waveform with a cleared switching machine."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
-    # every step's fading draw and trajectory go into these two buffers
-    # (see link_model.evolve_fading); they live as long as the cell, so an
-    # episode reuses its pages and a run does not keep them past it
+    # every step's fading draws and trajectory go into these two buffers
+    # (see link_model.evolve_fading): the draws lane by lane, (lane, slot,
+    # 2, terminal, rx, tx), the trajectory (slot, terminal, rx, tx). They
+    # live as long as the cell, so an episode reuses its pages and a run
+    # does not keep them past it
     fading_noise: np.ndarray
     trajectory: np.ndarray
+    lanes: int = 1
     # switching state: on DFT-S-OFDM, the occasion counter, and the guard
     # slots carried into the next step
     is_df: np.ndarray = field(init=False)
@@ -107,6 +129,8 @@ class Cell:
 
     def __post_init__(self):
         n = len(self)
+        if self.lanes < 1 or n % self.lanes:
+            raise ValueError(f"{n} terminals do not split into {self.lanes} lanes")
         self.is_df = np.zeros(n, dtype=bool)
         self.c = np.zeros(n, dtype=np.int64)
         self.guard_end = np.zeros(n, dtype=np.int64)
@@ -118,6 +142,11 @@ class Cell:
     def __len__(self) -> int:
         return len(self.distance_m)
 
+    def lane(self, lane: int) -> slice:
+        """The entries of lane ``lane``'s terminals."""
+        n = len(self) // self.lanes
+        return slice(lane * n, (lane + 1) * n)
+
 
 @dataclass
 class EpisodeStreams:
@@ -126,8 +155,8 @@ class EpisodeStreams:
     ta: np.random.Generator
 
 
-def episode_streams(seed: int, lane: int, episode: int) -> EpisodeStreams:
-    root = np.random.SeedSequence([seed, lane, episode])
+def episode_streams(seed: int, stream: int, episode: int) -> EpisodeStreams:
+    root = np.random.SeedSequence([seed, stream, episode])
     drop, fading, ta = [np.random.Generator(np.random.PCG64(s)) for s in root.spawn(3)]
     return EpisodeStreams(drop=drop, fading=fading, ta=ta)
 
@@ -136,63 +165,84 @@ def agent_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_AGENT])))
 
 
-def drop_ues(cfg: SimConfig, rng: np.random.Generator) -> tuple[Cell, np.ndarray]:
+def drop_ues(cfg: SimConfig, rng) -> tuple[Cell, np.ndarray]:
     """Uniform distances in the configured annulus, per-terminal lognormal
     shadowing frozen for the episode, fresh fading; returns the cell, with
     fading buffers for steps of ``slots_per_step`` slots, and its
-    (terminal, rx, tx) fading array."""
+    (terminal, rx, tx) fading array. ``rng`` is one generator, or a
+    sequence of them, one per lane: each lane is dropped from its own, as
+    one episode would be."""
     n = cfg.episode.ues_per_episode
     n_slots = cfg.episode.slots_per_step
     cell = cfg.cell
-    distances = rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n)
-    shadow = rng.normal(0.0, cell.shadowing_sigma_db, size=n)
-    fading = draw_fading((n, cell.n_rx, 2), rng)
-    pl = path_loss_uma(distances, cell.carrier_ghz) + shadow
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    distances, shadows, fadings = [], [], []
+    for lane_rng in rngs:
+        distances.append(lane_rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n))
+        shadows.append(lane_rng.normal(0.0, cell.shadowing_sigma_db, size=n))
+        fadings.append(draw_fading((n, cell.n_rx, 2), lane_rng))
+    distances, fading = np.concatenate(distances), np.concatenate(fadings)
+    pl = path_loss_uma(distances, cell.carrier_ghz) + np.concatenate(shadows)
     return Cell(
         distance_m=distances,
         path_loss_db=pl,
-        fading_noise=np.empty((n_slots, 2) + fading.shape),
+        fading_noise=np.empty((len(rngs), n_slots, 2, n, cell.n_rx, 2)),
         trajectory=np.empty((n_slots,) + fading.shape, dtype=complex),
+        lanes=len(rngs),
     ), fading
 
 
 def simulate_step(
     cell: Cell,
     fading: np.ndarray,
-    zeta_db: float,
-    xi_db: float,
+    zeta_db,
+    xi_db,
     cfg: SimConfig,
-    streams: EpisodeStreams,
+    streams,
     *,
     dpws_enabled: bool = True,
     events: list | None = None,
-    episode: int = 0,
+    episode=0,
     slot_offset: int = 0,
     trace: dict | None = None,
-) -> tuple[CellKpiReport, np.ndarray]:
-    """Advance one step (slots_per_step slots) and aggregate its KPIs.
+) -> tuple[list[CellKpiReport], np.ndarray]:
+    """Advance one step (slots_per_step slots) of every lane of ``cell``
+    and aggregate each lane's KPIs.
+
+    The lanes are independent episodes that share one array program:
+    ``streams`` holds one ``EpisodeStreams`` per lane (or is one, for a
+    single lane), ``zeta_db`` and ``xi_db`` are each lane's thresholds (or
+    one pair for all), and ``episode`` is each lane's episode label (or one
+    for all). Every lane gets the bytes it would get stepped alone.
 
     The step is one array program over (slot, terminal). Fading evolves
     every slot for every terminal regardless of switching decisions, so the
     channel trace and the sounding SNR gamma do not depend on the policy;
-    they come first. The switching machine then takes all the step's
-    soundings in one call (``dpws_fsm.on_srs_block``, which bounds its own
-    passes), and its switches give the per-slot waveform and guard masks.
-    Last come the SNR budgets, each only if some slot is on its waveform (a
-    fixed-waveform baseline never computes the other one), and one
-    throughput mapping. The gains are elementwise passes over (slot,
-    terminal) slabs of the trajectory (see ``link_model.precoded_gain``).
+    they come first, each lane's fading drawn from its own stream. The
+    switching machine then takes all the step's soundings in one call
+    (``dpws_fsm.on_srs_block``, which bounds its own passes), each terminal
+    under its lane's thresholds, and its switches give the per-slot
+    waveform and guard masks. Last come the SNR budgets, each only if some
+    slot is on its waveform (a fixed-waveform baseline never computes the
+    other one), and one throughput mapping. The gains are elementwise
+    passes over (slot, terminal) slabs of the trajectory (see
+    ``link_model.precoded_gain``). The sounding statistics, the
+    timing-advance draw, the histograms and the percentiles are per lane.
 
     Reads the switching state from ``cell`` and writes back the new state
     and the step's per-terminal outcomes; the trajectory is evolved in the
-    cell's kept fading buffers. Returns the report and a copy of the
-    evolved fading array. ``trace``, when given, receives the per-slot
+    cell's kept fading buffers. Appends the switches to ``events`` as
+    (episode, ue_id, slot, from, to), in (sounding, terminal) order, so the
+    lanes of one step interleave. Returns one report per lane and a copy of
+    the evolved fading array. ``trace``, when given, receives the per-slot
     (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
     """
-    n = len(cell)
-    cell_cfg, ep_cfg = cfg.cell, cfg.episode
+    lanes = [streams] if isinstance(streams, EpisodeStreams) else list(streams)
+    if len(lanes) != cell.lanes:
+        raise ValueError(f"{len(lanes)} streams for a cell of {cell.lanes} lanes")
+    n_lanes, n = cell.lanes, len(cell) // cell.lanes
+    cell_cfg, ep_cfg, dpws_cfg = cfg.cell, cfg.episode, cfg.dpws
     n_slots, period = ep_cfg.slots_per_step, ep_cfg.srs_period_slots
-    dpws_cfg = replace(cfg.dpws, zeta_db=zeta_db, xi_db=xi_db)
     noise = cell_cfg.noise()
     n0 = noise_power_dbm(noise)
     pl = cell.path_loss_db
@@ -205,7 +255,7 @@ def simulate_step(
     # power reference (the multi-port cap), so a switch does not shift
     # gamma by the back-off gap and thresholds compare like with like.
     traj = evolve_fading(
-        fading, cell_cfg.fading_rho, streams.fading, n_slots,
+        fading, cell_cfg.fading_rho, [s.fading for s in lanes], n_slots,
         out=cell.trajectory, noise=cell.fading_noise,
     )
     gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
@@ -218,25 +268,30 @@ def simulate_step(
     is_df, c, guard_end = cell.is_df, cell.c, cell.guard_end
     sw_snd = sw_ue = np.zeros(0, dtype=np.int64)
     if dpws_enabled:
+        # each lane's thresholds, repeated over its terminals; one pair
+        # holds for all
+        zeta, xi = (np.repeat(x, n) if np.ndim(x) else x for x in (zeta_db, xi_db))
         is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
-            is_df, c, guard_end, gamma, sounding_slots, dpws_cfg
+            is_df, c, guard_end, gamma, sounding_slots, dpws_cfg, zeta, xi
         )
     sw_slot = sounding_slots[sw_snd]
     row = sw_slot + 1
-    toggles = np.zeros((n_slots + 1, n), dtype=bool)
+    toggles = np.zeros((n_slots + 1, len(cell)), dtype=bool)
     toggles[0] = cell.is_df
     toggles[row, sw_ue] = True
     df_rows = np.logical_xor.accumulate(toggles, axis=0)
-    ends = np.zeros((n_slots + 1, n), dtype=np.int64)
+    ends = np.zeros((n_slots + 1, len(cell)), dtype=np.int64)
     ends[0] = cell.guard_end
     ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
     is_df_slots = df_rows[:-1]
     silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
     if events is not None:
         to_df = df_rows[row, sw_ue].tolist()
-        for slot, i, df in zip(sw_slot.tolist(), sw_ue.tolist(), to_df):
+        labels = list(episode) if np.ndim(episode) else [episode] * n_lanes
+        lane, ue = np.divmod(sw_ue, n)
+        for slot, k, i, df in zip(sw_slot.tolist(), lane.tolist(), ue.tolist(), to_df):
             frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
-            events.append((episode, i, slot_offset + slot, frm, to))
+            events.append((labels[k], i, slot_offset + slot, frm, to))
 
     # link budgets, each only if some slot reads it; snr_df carries the
     # single-carrier penalty of the throughput mapping. Then one throughput
@@ -257,30 +312,30 @@ def simulate_step(
         trace.update(is_df=is_df_slots, silent=silent, tp=tp)
 
     # sounding statistics over the heard terminals of the soundings that
-    # hear anyone; only those soundings draw timing-advance jitter, in one
-    # draw of all their rows. gamma is summed per sounding over its heard
-    # terminals, then over soundings in slot order: a running sum, not
-    # numpy's pairwise one. A sounding that hears all is a row sum; the
-    # others are grouped by how many they hear, m, and each group's heard
-    # values are packed into contiguous rows of length m, whose row sums
-    # add in numpy's pairwise order exactly as the 1-D sum of one row's
-    # heard values does.
+    # hear anyone, per lane; only those soundings draw timing-advance
+    # jitter, in one draw of all their rows from the lane's stream. gamma
+    # is summed per (sounding, lane) over its heard terminals, then over
+    # the lane's soundings in slot order: a running sum, not numpy's
+    # pairwise one. A (sounding, lane) row is n contiguous values, and one
+    # that hears all is a row sum; the others are grouped by how many they
+    # hear, m, and each group's heard values are packed into contiguous
+    # rows of length m, whose row sums add in numpy's pairwise order
+    # exactly as the 1-D sum of one row's heard values does.
     heard = ~silent[::period]
-    sounded = heard.any(axis=1)
-    gamma, heard = gamma[sounded], heard[sounded]
-    sums = gamma.sum(axis=1)
-    partly = np.flatnonzero(~heard.all(axis=1))
-    n_heard = heard[partly].sum(axis=1)
-    for m in np.unique(n_heard).tolist():
-        rows = partly[n_heard == m]
-        sums[rows] = gamma[rows][heard[rows]].reshape(len(rows), m).sum(axis=1)
-    gamma_n = int(heard.sum())
-    ta = timing_advance_percent(
-        cell.distance_m, cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct, streams.ta,
-        heard.shape,
-    )
-    snr_hist = bin_snr(Histogram12(edges=SNR_BIN_EDGES), gamma[heard])
-    ta_hist = bin_ta(Histogram12(edges=TA_BIN_EDGES), ta[heard])
+    n_snd = len(heard)
+    heard_rows, gamma_rows = heard.reshape(-1, n), gamma.reshape(-1, n)
+    n_heard = heard_rows.sum(axis=1)
+    sums = gamma_rows.sum(axis=1)
+    partly = np.flatnonzero((n_heard > 0) & (n_heard < n))
+    n_partly = n_heard[partly]
+    for m in np.unique(n_partly).tolist():
+        rows = partly[n_partly == m]
+        sums[rows] = gamma_rows[rows][heard_rows[rows]].reshape(len(rows), m).sum(axis=1)
+    # adding -0.0 leaves any sum as it is, so the soundings a lane does not
+    # hear drop out of its running sum
+    sounded = (n_heard > 0).reshape(n_snd, n_lanes)
+    totals = np.add.accumulate(np.where(sounded, sums.reshape(n_snd, n_lanes), -0.0), axis=0)[-1]
+    gamma_n = n_heard.reshape(n_snd, n_lanes).sum(axis=0).tolist()
 
     cell.is_df, cell.c, cell.guard_end = is_df, c, np.maximum(guard_end - n_slots, 0)
     # a contiguous row per terminal: its mean sums in the same order as a
@@ -292,13 +347,24 @@ def simulate_step(
 
     # cell throughput distribution over terminals; scheduling drops
     # terminals that spent the whole transmission in outage
-    included = cell.bearing_slots > 0
-    stats = throughput_percentiles(tp.mean(axis=0)[included])
-    mean_gamma = np.add.accumulate(sums)[-1] / gamma_n if gamma_n else float("nan")
-    report = CellKpiReport(
-        snr_hist=snr_hist, ta_hist=ta_hist, throughput=stats, mean_gamma_db=mean_gamma
-    )
-    return report, traj[-1].copy()
+    tp_mean = tp.mean(axis=0)
+    reports = []
+    for k, lane_streams in enumerate(lanes):
+        terminals = cell.lane(k)
+        lane_heard = heard[sounded[:, k], terminals]
+        lane_gamma = gamma[sounded[:, k], terminals]
+        ta = timing_advance_percent(
+            cell.distance_m[terminals], cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct,
+            lane_streams.ta, lane_heard.shape,
+        )
+        included = cell.bearing_slots[terminals] > 0
+        reports.append(CellKpiReport(
+            snr_hist=bin_snr(Histogram12(edges=SNR_BIN_EDGES), lane_gamma[lane_heard]),
+            ta_hist=bin_ta(Histogram12(edges=TA_BIN_EDGES), ta[lane_heard]),
+            throughput=throughput_percentiles(tp_mean[terminals][included]),
+            mean_gamma_db=totals[k] / gamma_n[k] if gamma_n[k] else float("nan"),
+        ))
+    return reports, traj[-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +444,46 @@ def _write_training_log(path: Path, rows) -> None:
 # run modes
 
 
-def _episode(cfg: SimConfig, lane: int, episode: int, steps: int, events: list,
-             policy: QNetwork | None = None, epsilon=lambda step: 0.0,
-             rng: np.random.Generator | None = None, fixed_waveform: str | None = None):
-    """One episode on the streams of (``lane``, ``episode``), its switches
-    appended to ``events``; yields (step, action, zeta, xi, report, state,
-    cell) per step. From step 1 on, ``policy`` picks the action from the
-    last state at ``epsilon(step)``. With no policy the thresholds stay at
-    their defaults; with ``fixed_waveform`` no terminal switches."""
-    streams = episode_streams(cfg.seed, lane, episode)
-    cell, fading = drop_ues(cfg, streams.drop)
+def _episodes(cfg: SimConfig, stream: int, episodes, steps: int, events: list,
+              policy: QNetwork | None = None, epsilon=lambda step: 0.0,
+              rng: np.random.Generator | None = None, fixed_waveform: str | None = None):
+    """The episodes ``episodes``, each on the streams of (``stream``,
+    episode), as the lanes of one cell; their switches are appended to
+    ``events``, the lanes of one step interleaved. Yields (step, actions,
+    zetas, xis, reports, states, cell) per step, each of the lists one
+    entry per lane; read them before the next step, which updates them in
+    place.
+    From step 1 on, ``policy`` picks each lane's action from its last state
+    at ``epsilon(step)``, lane by lane, one forward pass each (a batched
+    pass can round differently and flip an argmax). With no policy the
+    thresholds stay at their defaults; with ``fixed_waveform`` no terminal
+    switches."""
+    streams = [episode_streams(cfg.seed, stream, episode) for episode in episodes]
+    cell, fading = drop_ues(cfg, [s.drop for s in streams])
     cell.is_df[:] = fixed_waveform == DFT_S_OFDM
-    zeta, xi = cfg.dpws.zeta_db, cfg.dpws.xi_db
-    action = state = None
+    lanes = range(len(streams))
+    zetas, xis = [cfg.dpws.zeta_db] * len(lanes), [cfg.dpws.xi_db] * len(lanes)
+    actions, states = [None] * len(lanes), [None] * len(lanes)
     for step in range(steps):
         if step > 0 and policy is not None:
-            action = select_action(policy, state, epsilon(step), rng)
-            zeta, xi = decode_action(action, zeta, xi, cfg.agent)
-        report, fading = simulate_step(
+            for k in lanes:
+                actions[k] = select_action(policy, states[k], epsilon(step), rng)
+                zetas[k], xis[k] = decode_action(actions[k], zetas[k], xis[k], cfg.agent)
+        reports, fading = simulate_step(
             cell,
             fading,
-            zeta,
-            xi,
+            zetas,
+            xis,
             cfg,
             streams,
             dpws_enabled=fixed_waveform is None,
             events=events,
-            episode=episode,
+            episode=list(episodes),
             slot_offset=step * cfg.episode.slots_per_step,
         )
         if policy is not None:
-            state = build_state(report, zeta, xi)
-        yield step, action, zeta, xi, report, state, cell
+            states = [build_state(*args) for args in zip(reports, zetas, xis)]
+        yield step, actions, zetas, xis, reports, states, cell
 
 
 def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
@@ -432,10 +506,11 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
     for episode in range(ep_cfg.train_episodes):
         ep_reward = 0.0
         policy = copy.deepcopy(qnet)  # acts for this whole episode
-        records = _episode(
-            cfg, STREAM_TRAIN, episode, ep_cfg.train_steps, events, policy, epsilon, rng
+        # one lane: each episode acts on the network the previous one trained
+        records = _episodes(
+            cfg, STREAM_TRAIN, [episode], ep_cfg.train_steps, events, policy, epsilon, rng
         )
-        for step, action, zeta, xi, report, state, _ in records:
+        for step, (action,), (zeta,), (xi,), (report,), (state,), _ in records:
             reward = loss = None
             if step > 0:
                 reward = compute_reward(prev_stats, report.throughput, agent)
@@ -460,25 +535,47 @@ def run_training(cfg: SimConfig, outdir: str | Path) -> Path:
     return ckpt
 
 
-def _policy_episode(
-    cfg: SimConfig, episode: int, qnet: QNetwork | None, fixed_waveform: str | None
+def lane_groups(cfg: SimConfig, jobs: int = 1) -> list[range]:
+    """The evaluation episodes in contiguous groups, each run as the lanes
+    of one cell: as few groups as keep every step within
+    ``LANE_TERMINAL_SLOTS`` terminal-slots (an episode wider than that is a
+    group of its own), but at least ``min(jobs, episodes)``, so that every
+    worker has a group. The group sizes differ by at most one."""
+    e = cfg.episode
+    per_group = max(1, LANE_TERMINAL_SLOTS // (e.ues_per_episode * e.slots_per_step))
+    count = max(math.ceil(e.eval_episodes / per_group), min(jobs, e.eval_episodes))
+    bounds = [e.eval_episodes * g // count for g in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _policy_lanes(
+    cfg: SimConfig, episodes: range, qnet: QNetwork | None, fixed_waveform: str | None
 ):
-    """One greedy-policy (``qnet``) or fixed-waveform episode; returns (kpi
-    rows, per-terminal final-step samples, switch events)."""
+    """Greedy-policy (``qnet``) or fixed-waveform episodes, run as the lanes
+    of one cell; returns (kpi rows, per-terminal final-step samples, switch
+    events), each in episode-then-step order."""
     events: list = []
-    rows = []
-    records = _episode(
-        cfg, STREAM_EVAL, episode, cfg.episode.eval_steps, events, qnet,
+    rows = [[] for _ in episodes]
+    records = _episodes(
+        cfg, STREAM_EVAL, episodes, cfg.episode.eval_steps, events, qnet,
         fixed_waveform=fixed_waveform,
     )
-    for step, _, zeta, xi, report, _, cell in records:
-        rows.append((episode, step, zeta, xi, report))
-    # the terminals that carried data in the last step
-    ue_id = np.flatnonzero(cell.bearing_slots > 0)
-    waveform = np.where(cell.is_df[ue_id], DFT_S_OFDM, CP_OFDM).tolist()
-    dist, tp = cell.distance_m[ue_id].tolist(), cell.throughput_bps[ue_id].tolist()
-    samples = [(episode, *row) for row in zip(ue_id.tolist(), dist, waveform, tp)]
-    return rows, samples, events
+    for step, _, zetas, xis, reports, _, cell in records:
+        for lane_rows, episode, zeta, xi, report in zip(rows, episodes, zetas, xis, reports):
+            lane_rows.append((episode, step, zeta, xi, report))
+    # a stable sort: each episode's switches keep their step, sounding and
+    # terminal order
+    events.sort(key=itemgetter(0))
+    samples = []
+    for k, episode in enumerate(episodes):
+        # the terminals that carried data in the last step
+        terminals = cell.lane(k)
+        ue_id = np.flatnonzero(cell.bearing_slots[terminals] > 0)
+        waveform = np.where(cell.is_df[terminals][ue_id], DFT_S_OFDM, CP_OFDM).tolist()
+        dist = cell.distance_m[terminals][ue_id].tolist()
+        tp = cell.throughput_bps[terminals][ue_id].tolist()
+        samples += [(episode, *row) for row in zip(ue_id.tolist(), dist, waveform, tp)]
+    return [row for lane_rows in rows for row in lane_rows], samples, events
 
 
 def _run_policy(
@@ -492,18 +589,18 @@ def _run_policy(
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     writer = RunWriter(outdir, cfg, mode)
-    episodes = range(cfg.episode.eval_episodes)
+    groups = lane_groups(cfg, jobs)
     # the pool forks all its workers at the first submit, so size it by
     # the work there is
-    jobs = min(jobs, len(episodes))
-    run = partial(_policy_episode, cfg, qnet=qnet, fixed_waveform=fixed_waveform)
+    jobs = min(jobs, len(groups))
+    run = partial(_policy_lanes, cfg, qnet=qnet, fixed_waveform=fixed_waveform)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, episodes))
+            results = list(pool.map(run, groups))
     else:
-        results = list(map(run, episodes))
+        results = list(map(run, groups))
 
     all_events: list = []
     all_samples: list = []

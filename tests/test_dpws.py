@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,63 @@ class TestReferenceEquivalence:
             assert is_df[i] == (waveform == DFT_S_OFDM)
         assert c.tolist() == [0] * len(firsts)
         assert got == sorted(want)
+
+
+class TestLaneThresholds:
+    # (zeta, xi) per lane: ordinary thresholds, the infinite ones (always an
+    # occasion on one waveform and never on the other, and -inf + inf, which
+    # is NaN and never an occasion), and a lane whose traces alternate
+    # across zeta = 0.5 with xi = 0, so that with counter 1 it switches at
+    # every sounding
+    LANES = [(0.0, 5.0), (2.0, 1.0), (math.inf, 0.0), (-math.inf, 5.0),
+             (-math.inf, math.inf), (math.inf, math.inf), (0.5, 0.0)]
+
+    @pytest.mark.parametrize("counter", [1, 3])
+    def test_lanes_match_the_reference_lane_by_lane(self, counter):
+        rng = np.random.default_rng(60 + counter)
+        n, n_snd = 6, 2 * WINDOW_SOUNDINGS + 9
+        lanes = len(self.LANES)
+        gamma = rng.uniform(-6.0, 10.0, size=(n_snd, lanes * n))
+        gamma[:, -n:] = np.where(np.arange(n_snd) % 2 == 0, -1.0, 2.0)[:, None]
+        starts = [CP_OFDM if rng.random() < 0.5 else DFT_S_OFDM for _ in range(lanes * n)]
+        starts[-n:] = [CP_OFDM] * n
+        zeta, xi = (np.repeat([lane[j] for lane in self.LANES], n) for j in (0, 1))
+        cfg = DpwsConfig(counter=counter, guard_slots=0)
+        is_df, c, end, sw_snd, sw_ue = on_srs_block(
+            np.array([w == DFT_S_OFDM for w in starts]), np.zeros(lanes * n, dtype=np.int64),
+            np.zeros(lanes * n, dtype=np.int64), gamma, np.arange(n_snd), cfg, zeta, xi,
+        )
+        got = list(zip(sw_snd.tolist(), sw_ue.tolist()))
+        assert got == sorted(got)
+        want = []
+        for lane, (lane_zeta, lane_xi) in enumerate(self.LANES):
+            for i in range(lane * n, (lane + 1) * n):
+                switches = reference_run(
+                    starts[i], gamma[:, i].tolist(), lane_zeta, lane_xi, counter, counter
+                )
+                want += [(k, i) for k, _ in switches]
+                waveform = switches[-1][1] if switches else starts[i]
+                assert is_df[i] == (waveform == DFT_S_OFDM), (lane, i)
+        assert got == sorted(want)
+        if counter == 1:
+            assert sw_ue.tolist().count(lanes * n - 1) == n_snd  # every sounding
+
+    def test_one_threshold_for_all_equals_the_config(self):
+        rng = np.random.default_rng(5)
+        gamma = rng.uniform(-6.0, 10.0, size=(40, 12))
+        args = (np.zeros(12, dtype=bool), np.zeros(12, dtype=np.int64),
+                np.zeros(12, dtype=np.int64), gamma, 3 * np.arange(40))
+        cfg = DpwsConfig(zeta_db=1.0, xi_db=2.0, counter=2, guard_slots=4)
+        want = on_srs_block(*args, cfg)
+        got = on_srs_block(*args, DpwsConfig(counter=2, guard_slots=4),
+                           np.full(12, 1.0), np.full(12, 2.0))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_negative_lane_hysteresis_rejected(self):
+        with pytest.raises(ValueError, match="hysteresis"):
+            on_srs_block(np.zeros(2, dtype=bool), np.zeros(2), np.zeros(2), np.zeros((1, 2)),
+                         np.arange(1), DpwsConfig(), np.zeros(2), np.array([0.0, -1.0]))
 
 
 class TestInvariants:

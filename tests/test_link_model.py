@@ -227,6 +227,41 @@ class TestFading:
         with pytest.raises(TypeError):
             evolve_fading(h, 0.7, rng, 4, out=out, noise=noise.astype(np.float32))
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0])
+    def test_lanes_equal_separate_trajectories(self, rng, lanes, rho):
+        # each lane's terminals evolve from its own generator, bit for bit
+        # as alone, over several calls through the same buffers, and each
+        # generator ends where a lane of its own leaves it
+        n, n_slots = 5, 7
+        h = draw_fading((lanes * n, 2, 2), rng)
+        out = np.full((n_slots,) + h.shape, np.nan, dtype=complex)
+        noise = np.full((lanes, n_slots, 2, n, 2, 2), np.nan)
+        mine = [np.random.default_rng(10 + k) for k in range(lanes)]
+        ref = [np.random.default_rng(10 + k) for k in range(lanes)]
+        h_ref = [h[k * n:(k + 1) * n] for k in range(lanes)]
+        for _ in range(3):
+            traj = evolve_fading(h, rho, mine, n_slots, out=out, noise=noise)
+            assert traj is out
+            for k in range(lanes):
+                want = evolve_fading(h_ref[k], rho, ref[k], n_slots)
+                np.testing.assert_array_equal(traj[:, k * n:(k + 1) * n], want)
+                assert mine[k].bit_generator.state == ref[k].bit_generator.state
+                h_ref[k] = want[-1].copy()
+            h = traj[-1].copy()
+
+    def test_lane_buffers_and_split_checked(self, rng):
+        h = draw_fading((6, 1, 2), rng)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        out = np.empty((4,) + h.shape, dtype=complex)
+        with pytest.raises(ValueError):  # the single-generator layout
+            evolve_fading(h, 0.7, rngs, 4, out=out, noise=np.empty((4, 2) + h.shape))
+        with pytest.raises(ValueError):  # 6 terminals in 4 lanes
+            evolve_fading(h, 0.7, rngs + rngs[:1], 4)
+        with pytest.raises(ValueError):
+            evolve_fading(h, 0.7, [], 4)
+        evolve_fading(h, 0.7, rngs, 4, out=out, noise=np.empty((3, 4, 2, 2, 1, 2)))
+
 
 def entry_gains(h):
     """Received power sum of each codebook entry, one matrix-vector product

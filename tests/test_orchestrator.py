@@ -5,17 +5,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dpwsim.agent import select_action
-from dpwsim.config import SimConfig, _rebuild
+from dpwsim.agent import QNetwork, select_action
+from dpwsim.config import SimConfig, _rebuild, load_config
 from dpwsim.dpws_fsm import DpwsConfig
 from dpwsim.kpi import REWARD_FACTOR_IDS
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 from dpwsim.orchestrator import (
+    LANE_TERMINAL_SLOTS,
     STREAM_EVAL,
     STREAM_TRAIN,
     compare_runs,
     drop_ues,
     episode_streams,
+    lane_groups,
     run_baseline,
     run_evaluation,
     run_training,
@@ -38,8 +40,12 @@ def tiny_cfg(seed=1, ues=24, slots=40, srs=2) -> SimConfig:
     return cfg
 
 
-def fresh_cell(cfg, lane=STREAM_TRAIN, episode=0, fixed=None):
-    streams = episode_streams(cfg.seed, lane, episode)
+# the files an evaluation or baseline run writes besides its manifest
+RUN_FILES = ("kpi_steps.csv", "switch_events.csv", "ue_samples.csv", "throughput_stats.csv")
+
+
+def fresh_cell(cfg, stream=STREAM_TRAIN, episode=0, fixed=None):
+    streams = episode_streams(cfg.seed, stream, episode)
     cell, fading = drop_ues(cfg, streams.drop)
     if fixed is not None:
         cell.is_df[:] = fixed == DFT_S_OFDM
@@ -76,8 +82,8 @@ class TestDrop:
 class TestSimulateStep:
     def test_deterministic_report(self):
         cfg = tiny_cfg(seed=4)
-        r1, _ = simulate_step(*self._cell(cfg))
-        r2, _ = simulate_step(*self._cell(cfg))
+        [r1], _ = simulate_step(*self._cell(cfg))
+        [r2], _ = simulate_step(*self._cell(cfg))
         np.testing.assert_array_equal(r1.snr_hist.counts, r2.snr_hist.counts)
         assert r1.throughput == r2.throughput
         assert r1.mean_gamma_db == r2.mean_gamma_db
@@ -102,9 +108,9 @@ class TestSimulateStep:
     def test_unreachable_threshold_equals_fixed_cp(self):
         cfg = tiny_cfg(seed=6)
         cell_a, fading_a, streams_a = fresh_cell(cfg)
-        rep_a, _ = simulate_step(cell_a, fading_a, -math.inf, 5.0, cfg, streams_a)
+        [rep_a], _ = simulate_step(cell_a, fading_a, -math.inf, 5.0, cfg, streams_a)
         cell_b, fading_b, streams_b = fresh_cell(cfg, fixed=CP_OFDM)
-        rep_b, _ = simulate_step(cell_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
+        [rep_b], _ = simulate_step(cell_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
         np.testing.assert_array_equal(rep_a.snr_hist.counts, rep_b.snr_hist.counts)
         assert rep_a.throughput == rep_b.throughput
         np.testing.assert_array_equal(cell_a.throughput_bps, cell_b.throughput_bps)
@@ -280,20 +286,114 @@ class TestRuns:
 
     @pytest.mark.parametrize("mode", ["baseline", "evaluate"])
     def test_parallel_jobs_match_sequential(self, tmp_path, mode):
+        # five episodes: one lane group of five at one job, groups of 2 and
+        # 3 at two jobs, of 1, 2 and 2 at three
         cfg = tiny_cfg(seed=25)
+        cfg.episode.eval_episodes = 5
+        assert [len(g) for g in lane_groups(cfg, 1)] == [5]
         if mode == "evaluate":
             ckpt = run_training(cfg, tmp_path / "train")
-        for jobs in (1, 2):  # two episodes: at most two worker processes
+        for jobs in (1, 2, 3):
+            assert len(lane_groups(cfg, jobs)) == jobs
             out = tmp_path / f"jobs{jobs}"
             if mode == "evaluate":
                 run_evaluation(cfg, out, ckpt, jobs=jobs)
             else:
                 run_baseline(cfg, out, CP_OFDM, jobs=jobs)
-        for name in ("kpi_steps.csv", "switch_events.csv", "ue_samples.csv",
-                     "throughput_stats.csv"):
-            assert (tmp_path / "jobs1" / name).read_bytes() == (
-                tmp_path / "jobs2" / name
-            ).read_bytes(), name
+        for jobs in (2, 3):
+            for name in RUN_FILES:
+                assert (tmp_path / "jobs1" / name).read_bytes() == (
+                    tmp_path / f"jobs{jobs}" / name
+                ).read_bytes(), (jobs, name)
+
+
+def snr_steered_network(cfg):
+    """A network whose greedy action is the one of 0..8 nearest 20 times
+    its mean-SNR input (the mean sounding SNR over 30 dB): lanes of
+    different mean SNR take different actions."""
+    q = QNetwork(np.random.default_rng(0), cfg.agent)
+    for p in q.parameters():
+        p[...] = 0.0
+    q.w1[2, 0] = 1.0
+    actions = np.arange(9)
+    q.w2[0] = actions
+    q.b2[:] = -0.05 / 2 * actions**2
+    return q
+
+
+class TestLaneGroups:
+    def test_group_sizes(self):
+        cfg = tiny_cfg()
+        e = cfg.episode
+        for ues, slots, episodes, jobs, sizes in [
+            (20, 200, 8, 1, [8]),         # ci: 12 lanes fit in a group
+            (20, 200, 8, 3, [2, 3, 3]),   # at least one group per job
+            (20, 200, 30, 1, [10, 10, 10]),
+            (32, 400, 16, 1, [2, 3, 3, 2, 3, 3]),  # desk: 3 lanes a group
+            (50, 1000, 4, 1, [1, 1, 1, 1]),  # paper: one episode a group
+            (60, 1000, 2, 1, [1, 1]),     # wider than a group
+            (20, 200, 2, 500, [1, 1]),
+        ]:
+            e.ues_per_episode, e.slots_per_step, e.eval_episodes = ues, slots, episodes
+            groups = lane_groups(cfg, jobs)
+            assert [len(g) for g in groups] == sizes
+            assert [k for g in groups for k in g] == list(range(episodes))
+            assert all(len(g) * ues * slots <= LANE_TERMINAL_SLOTS for g in groups if len(g) > 1)
+
+    def test_lane_cell_counts_every_lane(self):
+        cfg = tiny_cfg(seed=31)
+        streams = [episode_streams(cfg.seed, STREAM_EVAL, e) for e in range(3)]
+        cell, fading = drop_ues(cfg, [s.drop for s in streams])
+        assert len(cell) == len(fading) == 3 * cfg.episode.ues_per_episode
+        for k in range(3):
+            alone, alone_fading = drop_ues(cfg, episode_streams(cfg.seed, STREAM_EVAL, k).drop)
+            np.testing.assert_array_equal(cell.distance_m[cell.lane(k)], alone.distance_m)
+            np.testing.assert_array_equal(cell.path_loss_db[cell.lane(k)], alone.path_loss_db)
+            np.testing.assert_array_equal(fading[cell.lane(k)], alone_fading)
+
+    @staticmethod
+    def runs(cfg, tmp_path, tag, monkeypatch, one_episode_groups):
+        """evaluate (of ``snr_steered_network``), baseline cp and baseline dfts;
+        with ``one_episode_groups`` every group holds one episode."""
+        import dpwsim.orchestrator as orch
+
+        with monkeypatch.context() as m:
+            if one_episode_groups:
+                m.setattr(orch, "LANE_TERMINAL_SLOTS", 1)
+            ckpt = tmp_path / "qnet.txt"
+            if not ckpt.exists():
+                snr_steered_network(cfg).save(ckpt)
+            run_evaluation(cfg, tmp_path / f"{tag}-eval", ckpt)
+            run_baseline(cfg, tmp_path / f"{tag}-cp", CP_OFDM)
+            run_baseline(cfg, tmp_path / f"{tag}-dfts", DFT_S_OFDM)
+
+    def assert_lane_groups_change_nothing(self, cfg, tmp_path, monkeypatch):
+        assert len(lane_groups(cfg)) == 1 < cfg.episode.eval_episodes
+        self.runs(cfg, tmp_path, "lanes", monkeypatch, False)
+        self.runs(cfg, tmp_path, "alone", monkeypatch, True)
+        for run in ("eval", "cp", "dfts"):
+            for name in RUN_FILES + ("manifest.json",):
+                assert (tmp_path / f"lanes-{run}" / name).read_bytes() == (
+                    tmp_path / f"alone-{run}" / name
+                ).read_bytes(), (run, name)
+        # how many thresholds the greedy lanes ended the run under
+        with open(tmp_path / "lanes-eval" / "kpi_steps.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        last_step = str(cfg.episode.eval_steps - 1)
+        return len({(r["zeta_db"], r["xi_db"]) for r in rows if r["step"] == last_step})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ci_runs_keep_their_bytes(self, tmp_path, monkeypatch, seed):
+        cfg = load_config(profile="ci", seed=seed)
+        assert self.assert_lane_groups_change_nothing(cfg, tmp_path, monkeypatch) > 1
+
+    def test_paper_width_runs_keep_their_bytes(self, tmp_path, monkeypatch):
+        # 50 terminals, one occasion to switch and a 19-slot guard: soundings
+        # partly heard in several lanes of a step at once
+        cfg = tiny_cfg(seed=32, ues=50, slots=200)
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 19
+        cfg.episode.eval_episodes, cfg.episode.eval_steps = 4, 3
+        assert self.assert_lane_groups_change_nothing(cfg, tmp_path, monkeypatch) > 1
 
 
 class TestComparison:

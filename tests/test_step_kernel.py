@@ -18,7 +18,7 @@ from dpwsim.config import SimConfig
 from dpwsim.dpws_fsm import DpwsState
 from dpwsim.link_model import CP_OFDM, DFT_S_OFDM
 from dpwsim import orchestrator
-from dpwsim.orchestrator import STREAM_TRAIN, drop_ues, episode_streams, simulate_step
+from dpwsim.orchestrator import STREAM_EVAL, STREAM_TRAIN, drop_ues, episode_streams, simulate_step
 
 from step_reference import reference_step
 
@@ -44,7 +44,7 @@ class KernelCell:
     def step(self, *args, **kwargs):
         cell = self.cell
         kept = cell.trajectory, cell.fading_noise
-        report, fading = simulate_step(cell, *args, **kwargs)
+        [report], fading = simulate_step(cell, *args, **kwargs)
         # every step evolves its trajectory in the cell's kept buffers and
         # returns a copy of the last state, not a view into them
         assert cell.trajectory is kept[0] and cell.fading_noise is kept[1]
@@ -232,3 +232,129 @@ class TestKernelMatchesSlotLoop:
 
     def test_several_receive_antennas(self):
         assert_same(small_cfg(seed=13, n_rx=4), VARIED[:2])
+
+
+def lane_steps(cfg, episodes, thresholds, fixed=None):
+    """The ``episodes`` as lanes of one cell, step k under the per-lane
+    ``thresholds[k]``; returns per lane what ``run_steps`` returns."""
+    streams = [episode_streams(cfg.seed, STREAM_EVAL, e) for e in episodes]
+    cell, fading = drop_ues(cfg, [s.drop for s in streams])
+    n = cfg.episode.ues_per_episode
+    assert cell.lanes == len(episodes) and len(cell) == len(episodes) * n
+    if fixed is not None:
+        cell.is_df[:] = fixed == DFT_S_OFDM
+    sim = KernelCell(cell)
+    events, steps = [], []
+    for k, lane_thresholds in enumerate(thresholds):
+        zetas, xis = zip(*lane_thresholds)
+        trace = {}
+        reports, fading = simulate_step(
+            cell, fading, list(zetas), list(xis), cfg, streams,
+            dpws_enabled=fixed is None, events=events, episode=episodes,
+            slot_offset=k * cfg.episode.slots_per_step, trace=trace,
+        )
+        steps.append((reports, sim.terminals(), fading, trace))
+    out = []
+    for lane, episode in enumerate(episodes):
+        ues = slice(lane * n, (lane + 1) * n)
+        lane_out = [(reports[lane], terminals[ues], fading[ues],
+                     {key: value[:, ues] for key, value in trace.items()})
+                    for reports, terminals, fading, trace in steps]
+        out.append((lane_out, [e for e in events if e[0] == episode],
+                     streams[lane].fading.bit_generator.state,
+                     streams[lane].ta.bit_generator.state))
+    return out
+
+
+def alone_steps(cfg, episode, thresholds, fixed=None):
+    """One episode in a cell of its own, as ``KernelCell`` steps it."""
+    streams = episode_streams(cfg.seed, STREAM_EVAL, episode)
+    cell, fading = drop_ues(cfg, streams.drop)
+    if fixed is not None:
+        cell.is_df[:] = fixed == DFT_S_OFDM
+    sim = KernelCell(cell)
+    events, steps = [], []
+    for k, (zeta, xi) in enumerate(thresholds):
+        trace = {}
+        report, fading = sim.step(
+            fading, zeta, xi, cfg, streams, dpws_enabled=fixed is None, events=events,
+            episode=episode, slot_offset=k * cfg.episode.slots_per_step, trace=trace,
+        )
+        steps.append((report, sim.terminals(), fading, trace))
+    return steps, events, streams.fading.bit_generator.state, streams.ta.bit_generator.state
+
+
+def assert_lanes_alone(cfg, episodes, thresholds, fixed=None):
+    """Every lane of a lane cell gets the bytes of its episode alone."""
+    lanes = lane_steps(cfg, episodes, thresholds, fixed)
+    for lane, episode in enumerate(episodes):
+        own = [step[lane] for step in thresholds]
+        got, want = lanes[lane], alone_steps(cfg, episode, own, fixed)
+        for k, ((rep_a, ues_a, fad_a, tr_a), (rep_b, ues_b, fad_b, tr_b)) in enumerate(
+            zip(got[0], want[0])
+        ):
+            where = f"lane {lane}, step {k}"
+            np.testing.assert_array_equal(rep_a.snr_hist.counts, rep_b.snr_hist.counts, where)
+            np.testing.assert_array_equal(rep_a.ta_hist.counts, rep_b.ta_hist.counts, where)
+            assert rep_a.throughput == rep_b.throughput, where
+            assert repr(rep_a.mean_gamma_db) == repr(rep_b.mean_gamma_db), where
+            assert ues_a == ues_b, where
+            np.testing.assert_array_equal(fad_a, fad_b, where)
+            for key in ("is_df", "silent", "tp"):
+                np.testing.assert_array_equal(tr_a[key], tr_b[key], f"{where}: {key}")
+        assert got[1:] == want[1:], f"lane {lane}: events or stream states"
+    return lanes
+
+
+class TestLanesMatchSeparateCells:
+    # per step, one (zeta, xi) per lane
+    LANE_THRESHOLDS = [
+        [(0.0, 5.0), (8.0, 2.0), (4.0, 0.0)],
+        [(8.0, 2.0), (-3.0, 9.0), (4.0, 0.0)],
+        [(-3.0, 9.0), (0.0, 5.0), (12.0, 1.0)],
+    ]
+
+    def test_default_dynamics(self):
+        lanes = assert_lanes_alone(small_cfg(seed=21), [0, 1, 2], self.LANE_THRESHOLDS)
+        assert all(lane[1] for lane in lanes)  # every lane switches
+
+    def test_one_lane(self):
+        assert_lanes_alone(small_cfg(seed=22), [5], [step[:1] for step in self.LANE_THRESHOLDS])
+
+    def test_frozen_fading_and_no_jitter(self):
+        cfg = small_cfg(seed=23, fading_rho=1.0, ta_jitter_pct=0.0)
+        assert_lanes_alone(cfg, [0, 1, 2], self.LANE_THRESHOLDS)
+
+    @pytest.mark.parametrize("waveform", [CP_OFDM, DFT_S_OFDM])
+    def test_switching_disabled(self, waveform):
+        assert_lanes_alone(small_cfg(seed=24), [3, 4], [[(0.0, 5.0)] * 2] * 3, fixed=waveform)
+
+    def test_paper_width_partly_heard_soundings_in_several_lanes(self):
+        # 50 terminals a lane, one occasion to switch and a 19-slot guard:
+        # at some soundings several lanes hear only part of their terminals
+        cfg = small_cfg(seed=3, ues=50, slots=200, srs=2)
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 19
+        lanes = assert_lanes_alone(cfg, [0, 1, 2], self.LANE_THRESHOLDS)
+        partly = 0
+        for step in range(3):
+            heard = np.array([(~lane[0][step][3]["silent"][::2]).sum(axis=1) for lane in lanes])
+            partly = max(partly, int(((heard > 0) & (heard < 50)).sum(axis=0).max()))
+        assert partly >= 2
+
+    def test_a_lane_that_hears_nothing_beside_lanes_that_do(self):
+        # lane 0 switches every terminal at its first sounding into a guard
+        # that outlasts the next step, so it hears no sounding in step 1 and
+        # reports a NaN mean; the other lanes never switch
+        cfg = small_cfg(seed=4, ues=30, srs=4)
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 76
+        thresholds = [[(math.inf, math.inf), (-math.inf, 5.0)]] * 3
+        lanes = assert_lanes_alone(cfg, [0, 1], thresholds)
+        assert math.isnan(lanes[0][0][1][0].mean_gamma_db)
+        assert not math.isnan(lanes[1][0][1][0].mean_gamma_db)
+
+    def test_mismatched_streams_rejected(self):
+        cfg = small_cfg(seed=25)
+        streams = [episode_streams(cfg.seed, STREAM_EVAL, e) for e in range(2)]
+        cell, fading = drop_ues(cfg, [s.drop for s in streams])
+        with pytest.raises(ValueError):
+            simulate_step(cell, fading, 0.0, 5.0, cfg, streams[0])
