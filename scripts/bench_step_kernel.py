@@ -1,6 +1,7 @@
 """Per-layer timings of the step kernel: the fading trajectory, the AMC
 lookup, the histogram counts and a whole ``simulate_step``, at the ci, desk
-and paper sizes; and the step of several episodes at once, as lanes.
+and paper sizes; the step of several episodes at once, as lanes; and the
+PAPR ensemble.
 
     python3 scripts/bench_step_kernel.py --variant after=src \\
         --variant before=/path/to/older/checkout/src --out BENCH_lanes.json
@@ -24,8 +25,14 @@ The lane figures step L episodes (1, 4 and 8 at ci and desk size, 1 and 2
 at paper size) at the default thresholds: as the lanes of one cell where
 the variant's orchestrator has lane cells, and one cell after the other
 where it has not. They give the time per episode-step and the minor page
-faults per step of all L episodes. No benchmark gate reads this file's
-output.
+faults per step of all L episodes.
+
+The PAPR figures time one ``papr_ensemble`` call per waveform and
+modulation at 10,000 blocks, on the seed's ``dpwsim papr`` stream. They are
+wall times (``time.perf_counter``): the ensemble may fill its block ranges
+on several threads, whose CPU times ``process_time`` would add up. The
+machine record gives the usable core count. No benchmark gate reads this
+file's output.
 """
 
 from __future__ import annotations
@@ -46,11 +53,14 @@ import numpy as np
 SIZES = ("ci", "desk", "paper")
 LAYERS = ("evolve_fading", "map_throughput", "_bin_counts", "simulate_step")
 LANES = {"ci": (1, 4, 8), "desk": (1, 4, 8), "paper": (1, 2)}
+PAPR = (("cp-ofdm", "qpsk"), ("cp-ofdm", "16qam"), ("dft-s-ofdm", "qpsk"), ("dft-s-ofdm", "16qam"))
+PAPR_BLOCKS = 10_000
+MODULES = ("config", "kpi", "link_model", "orchestrator", "waveform", "cli")
 
 
 def load_package(name: str, src: Path):
-    """Import ``src/dpwsim`` as the package ``name``; returns its config,
-    kpi, link_model and orchestrator modules."""
+    """Import ``src/dpwsim`` as the package ``name``; returns the modules of
+    :data:`MODULES` by name."""
     root = src / "dpwsim"
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)]
@@ -58,9 +68,7 @@ def load_package(name: str, src: Path):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    mods = [importlib.import_module(f"{name}.{m}")
-            for m in ("config", "kpi", "link_model", "orchestrator")]
-    return dict(zip(("config", "kpi", "link_model", "orchestrator"), mods))
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
 
 
 class Case:
@@ -133,6 +141,28 @@ class LaneCase:
             )
 
 
+class PaprCase:
+    """One variant's ``papr_ensemble`` for one waveform and modulation, as
+    ``dpwsim papr`` calls it."""
+
+    def __init__(self, pkg, waveform: str, modulation: str, seed: int):
+        self.ensemble = pkg["waveform"].papr_ensemble
+        self.levels = pkg["cli"].PAPR_PERCENTILES
+        self.args = (waveform, modulation, PAPR_BLOCKS)
+        self.seed = np.random.SeedSequence([seed, pkg["orchestrator"].STREAM_PAPR])
+
+    def run(self):
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        self.ensemble(*self.args, self.levels, rng)
+
+
+def wall_time(fn) -> float:
+    """Seconds of one call, on the wall clock."""
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def timed(fn, calls: int) -> tuple[float, float]:
     """Seconds per call and minor page faults per call over ``calls``."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -169,6 +199,8 @@ def main(argv=None) -> int:
     cases = {(v, size): Case(pkg, size, args.seed) for v, pkg in variants.items() for size in SIZES}
     lane_cases = {(v, size, lanes): LaneCase(pkg, size, args.seed, lanes)
                   for v, pkg in variants.items() for size in SIZES for lanes in LANES[size]}
+    papr_cases = {(v, wf, mod): PaprCase(pkg, wf, mod, args.seed)
+                  for v, pkg in variants.items() for wf, mod in PAPR}
     # calls per sample: enough that a sample is a few milliseconds at ci size
     calls = {"ci": 8, "desk": 3, "paper": 1}
 
@@ -177,11 +209,14 @@ def main(argv=None) -> int:
     faults = {(v, s): [] for v in names for s in SIZES}
     lane_seconds = {key: [] for key in lane_cases}
     lane_faults = {key: [] for key in lane_cases}
+    papr_seconds = {key: [] for key in papr_cases}
     for case in cases.values():  # warm-up
         for layer in LAYERS:
             getattr(case, layer)()
     for case in lane_cases.values():
         case.step()
+    for case in papr_cases.values():
+        case.run()
     for r in range(args.repeats):
         order = names if r % 2 == 0 else names[::-1]
         for size in SIZES:
@@ -196,6 +231,9 @@ def main(argv=None) -> int:
                     dt, flt = timed(lane_cases[v, size, lanes].step, max(1, calls[size] // lanes))
                     lane_seconds[v, size, lanes].append(dt / lanes)
                     lane_faults[v, size, lanes].append(flt)
+        for wf, mod in PAPR:
+            for v in order:
+                papr_seconds[v, wf, mod].append(wall_time(papr_cases[v, wf, mod].run))
 
     results = {}
     for size in SIZES:
@@ -219,6 +257,13 @@ def main(argv=None) -> int:
                 entry[v]["median_over_first"] = entry[v]["median"] / entry[names[0]]["median"]
                 entry[v]["minor_faults_per_call"] = statistics.median(lane_faults[v, size, lanes])
             lane_results[size][str(lanes)] = entry
+    papr_results = {}
+    for wf, mod in PAPR:
+        entry = {v: {k: x * 1e3 for k, x in summary(papr_seconds[v, wf, mod]).items()}
+                 for v in names}
+        for v in names:
+            entry[v]["median_over_first"] = entry[v]["median"] / entry[names[0]]["median"]
+        papr_results.setdefault(wf, {})[mod] = entry
     out = {
         "what": "process_time per call in ms (median and quartiles over the repeats), "
                 "and each median over the first variant's",
@@ -227,6 +272,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "machine": {
             "cores": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
@@ -236,6 +282,10 @@ def main(argv=None) -> int:
                       "together (median and quartiles over the repeats), each median over "
                       "the first variant's, and the minor page faults per step of all L",
         "lanes": lane_results,
+        "papr_what": f"papr_ensemble wall time in ms per call at {PAPR_BLOCKS} blocks "
+                     "(median and quartiles over the repeats), and each median over the "
+                     "first variant's",
+        "papr": papr_results,
     }
     text = json.dumps(out, indent=2) + "\n"
     if args.out is not None:

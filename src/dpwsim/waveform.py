@@ -20,10 +20,22 @@ Conventions used throughout:
   sequence of them; a sequence shares one power, mean and quantile pass
   over the signal. The ensemble keeps only the envelope power, 8 bytes a
   sample, and never holds its complex signal.
+- Symbol indices are read from the generator's raw 64-bit words: each
+  index is the top two bits of one 32-bit half, low half first, which is
+  what ``Generator.integers(0, 4)`` draws (4 divides 2**32, so its bounded
+  draw never rejects). The draw takes a PCG64 or PCG64DXSM generator, and
+  leaves it in the state ``integers`` would, its buffered half included.
+- Every block's symbols therefore sit at a known place in the stream, and
+  PCG64 can jump there. :func:`papr_ensemble` fills contiguous block
+  ranges on up to four threads, one per usable core, each from a copy of
+  the generator advanced to its first block. The result does not depend on
+  the number of ranges.
 """
 
 from __future__ import annotations
 
+import copy
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -36,6 +48,12 @@ PRECODER_CODEBOOK = np.array(
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=complex) / np.sqrt(2.0)
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+# symbol 4*i + q has the in-phase level i and the quadrature level q; set
+# part by part, which equals re + 1j*im: 1j*im adds only a real part of +-0
+# to a nonzero level
+_QAM16 = np.empty(16, dtype=complex)
+_QAM16.real = np.repeat(_QAM16_LEVELS, 4)
+_QAM16.imag = np.tile(_QAM16_LEVELS, 4)
 
 # Symbols the PAPR ensemble generates per transform call: large enough that
 # per-call overhead vanishes, small enough that the chunk's temporaries stay
@@ -69,24 +87,71 @@ class OfdmGrid:
             raise ValueError("need at least one antenna port")
 
 
+def _check_bit_generator(rng: np.random.Generator) -> None:
+    """Refuse a generator whose raw words are not what ``integers`` reads.
+
+    ``np.random`` is named only here, at call time: numpy loads it on first
+    use, and a module-level name would load it with every ``dpwsim`` import."""
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            f"symbol draws need a PCG64 or PCG64DXSM generator, got "
+            f"{type(rng.bit_generator).__name__}"
+        )
+
+
+def _quarter_draws(shape, rng: np.random.Generator) -> np.ndarray:
+    """``rng.integers(0, 4, size=shape)`` as uint8, with the same values and
+    the same final generator state, buffered half included.
+
+    ``integers(0, 4)`` takes one 32-bit half per draw, the low half of a
+    fresh word first and its high half on the next draw, and keeps the top
+    two bits. So the draw reads the generator's buffered half, if it holds
+    one, then the halves of ``random_raw`` words, and leaves the high half
+    of an odd last word buffered, as ``integers`` does.
+    """
+    _check_bit_generator(rng)
+    out = np.empty(shape, dtype=np.uint8)
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return out
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    head = state["has_uint32"]
+    if head:
+        flat[0] = state["uinteger"] >> 30
+    words = bitgen.random_raw((flat.size - head + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    np.right_shift(halves[: flat.size - head], 30, out=flat[head:])
+    state = bitgen.state
+    state["has_uint32"] = (flat.size - head) % 2
+    if words.size:
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return out
+
+
 def qpsk_symbols(n, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` unit-average-power QPSK symbols; ``n`` may be a shape."""
-    return _QPSK[rng.integers(0, 4, size=n)]
+    """Draw ``n`` unit-average-power QPSK symbols; ``n`` may be a shape.
+
+    Equal to ``_QPSK[rng.integers(0, 4, size=n)]`` in values and final
+    generator state; ``rng`` must be a PCG64 or PCG64DXSM generator."""
+    return np.take(_QPSK, _quarter_draws(n, rng))
 
 
 def qam16_symbols(n, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` unit-average-power 16-QAM symbols: the real parts, then
     the imaginary parts. ``n`` may be a shape ``(..., m)``; each row of
     ``m`` symbols then takes the draws of one ``qam16_symbols(m, rng)``
-    call in turn."""
+    call in turn. ``rng`` must be a PCG64 or PCG64DXSM generator.
+
+    Each part is a level of ``_QAM16_LEVELS`` indexed by one
+    ``integers(0, 4)`` draw, and the generator ends as those draws leave
+    it."""
     shape = tuple(np.atleast_1d(n))
-    idx = rng.integers(0, 4, size=shape[:-1] + (2,) + shape[-1:])
-    # equal to re + 1j*im: 1j*im adds only a real part of +-0 to a nonzero
-    # level, and the two complex temporaries of that sum are not made
-    out = np.empty(shape, dtype=complex)
-    out.real = _QAM16_LEVELS[idx[..., 0, :]]
-    out.imag = _QAM16_LEVELS[idx[..., 1, :]]
-    return out
+    idx = _quarter_draws(shape[:-1] + (2,) + shape[-1:], rng)
+    symbol = idx[..., 0, :] << 2
+    symbol |= idx[..., 1, :]
+    return np.take(_QAM16, symbol)
 
 
 def generate_cp_ofdm(d: np.ndarray, w: np.ndarray, grid: OfdmGrid) -> np.ndarray:
@@ -206,6 +271,37 @@ def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
     return _papr_db(power, levels)
 
 
+# each modulation's symbol draw, and the integers(0, 4) draws it takes per
+# symbol
+_SYMBOL_DRAWS = {"qpsk": (qpsk_symbols, 1), "16qam": (qam16_symbols, 2)}
+
+
+def _ensemble_grid(
+    waveform: str,
+    modulation: str,
+    n_blocks: int,
+    rng: np.random.Generator,
+    n_subcarriers: int,
+    n_data: int,
+    oversample: int,
+) -> OfdmGrid:
+    """The grid of an ensemble's symbols, once its arguments are checked:
+    a refused ensemble draws nothing and leaves ``rng`` as it was."""
+    if waveform not in ("cp-ofdm", "dft-s-ofdm"):
+        raise ValueError(f"unknown waveform {waveform!r}")
+    if modulation not in _SYMBOL_DRAWS:
+        raise ValueError(f"unknown modulation {modulation!r}")
+    if n_blocks < 1:
+        raise ValueError(f"need at least one block, got {n_blocks}")
+    _check_bit_generator(rng)
+    return OfdmGrid(
+        n_subcarriers=n_subcarriers * oversample,
+        dft_size=n_data,
+        offset=0,
+        n_tx=1,
+    )
+
+
 def papr_ensemble_signal(
     waveform: str,
     modulation: str,
@@ -214,33 +310,61 @@ def papr_ensemble_signal(
     n_subcarriers: int = 256,
     n_data: int = 240,
     oversample: int = 1,
+    chunk_blocks: int = PAPR_CHUNK_BLOCKS,
 ) -> Iterator[np.ndarray]:
     """Time signals of ``n_blocks`` independent symbols of one waveform, for
     ensemble PAPR statistics, yielded in chunks: ``(rows, N)`` arrays of at
-    most :data:`PAPR_CHUNK_BLOCKS` symbols each.
+    most ``chunk_blocks`` symbols each.
 
     Oversampling is realised by enlarging the IDFT while keeping the
     occupied band fixed, i.e. frequency-domain zero padding. Critical
     sampling (the default) understates the analog envelope somewhat.
 
     The chunks, concatenated, and the final state of ``rng`` equal those of
-    drawing and transforming one block after the other.
+    drawing and transforming one block after the other. An unknown waveform
+    or modulation, fewer than one block, or a generator other than PCG64 or
+    PCG64DXSM is refused at the first chunk, before anything is drawn, and
+    so is a ``chunk_blocks`` below 1.
     """
-    if waveform not in ("cp-ofdm", "dft-s-ofdm"):
-        raise ValueError(f"unknown waveform {waveform!r}")
-    grid = OfdmGrid(
-        n_subcarriers=n_subcarriers * oversample,
-        dft_size=n_data,
-        offset=0,
-        n_tx=1,
-    )
-    draw = {"qpsk": qpsk_symbols, "16qam": qam16_symbols}[modulation]
-    for start in range(0, n_blocks, PAPR_CHUNK_BLOCKS):
-        d = draw((min(PAPR_CHUNK_BLOCKS, n_blocks - start), n_data), rng)
+    grid = _ensemble_grid(waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    if chunk_blocks < 1:
+        raise ValueError(f"need at least one block per chunk, got {chunk_blocks}")
+    draw = _SYMBOL_DRAWS[modulation][0]
+    for start in range(0, n_blocks, chunk_blocks):
+        d = draw((min(chunk_blocks, n_blocks - start), n_data), rng)
         if waveform == "cp-ofdm":
             yield generate_cp_ofdm(d, np.ones(1), grid)[..., 0]
         else:
             yield generate_dft_s_ofdm(d, grid)
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _generator_at(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of ``rng`` where ``draws`` calls of ``integers(0, 4)`` would
+    leave it (``draws`` of at least 1); ``rng`` itself does not move.
+
+    The draws take the buffered half first, if ``rng`` holds one, then one
+    word per two draws, so the copy advances by whole words. When they end
+    on a word's low half, the copy draws that word and buffers its high
+    half, as ``integers`` would."""
+    state = rng.bit_generator.state
+    words, odd = divmod(draws - state["has_uint32"], 2)
+    bitgen = copy.deepcopy(rng.bit_generator)
+    bitgen.advance(words)  # also clears the buffered half
+    if odd:
+        word = bitgen.random_raw()
+        state = bitgen.state
+        state["has_uint32"] = 1
+        state["uinteger"] = int(word >> 32)
+        bitgen.state = state
+    return np.random.Generator(bitgen)
 
 
 def papr_ensemble(
@@ -261,15 +385,47 @@ def papr_ensemble(
     result equals ``measure_papr`` of the concatenated chunks bit for bit:
     ``abs`` and ``square`` work element by element, and the mean and the
     quantile run over the same contiguous 1-D array.
+
+    The blocks are split into W contiguous ranges, W the smallest of the
+    usable cores, the ensemble's :data:`PAPR_CHUNK_BLOCKS` chunks and 4.
+    Range 0 draws from ``rng`` on the calling thread, each other range on a
+    thread of its own from a copy of ``rng`` advanced to the range's first
+    symbol draw; each writes only its own rows of the buffer, in chunks of
+    ``PAPR_CHUNK_BLOCKS // W`` blocks, so at most ``PAPR_CHUNK_BLOCKS``
+    blocks are in flight. ``rng`` ends where the serial draw leaves it, and
+    the result does not depend on W. Arguments are checked, as in
+    :func:`papr_ensemble_signal`, before any draw or thread starts.
     """
     levels = _levels(percentile)
-    power = np.empty((n_blocks, n_subcarriers * oversample))
-    start = 0
-    for chunk in papr_ensemble_signal(
-        waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample
-    ):
-        rows = power[start : start + len(chunk)]
-        np.abs(chunk, out=rows)
-        np.square(rows, out=rows)
-        start += len(chunk)
+    grid = _ensemble_grid(waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    chunks = -(-n_blocks // PAPR_CHUNK_BLOCKS)
+    # at most 4 ranges, so that a range's chunks keep at least 64 blocks
+    n_ranges = min(_usable_cores(), chunks, PAPR_CHUNK_BLOCKS // 64)
+    bounds = [n_blocks * i // n_ranges for i in range(n_ranges + 1)]
+    draws_per_block = n_data * _SYMBOL_DRAWS[modulation][1]
+    rngs = [rng] + [_generator_at(rng, b * draws_per_block) for b in bounds[1:-1]]
+    power = np.empty((n_blocks, grid.n_subcarriers))
+
+    def fill(i: int) -> None:
+        start = bounds[i]
+        for chunk in papr_ensemble_signal(
+            waveform, modulation, bounds[i + 1] - start, rngs[i], n_subcarriers, n_data,
+            oversample, chunk_blocks=PAPR_CHUNK_BLOCKS // n_ranges,
+        ):
+            rows = power[start : start + len(chunk)]
+            np.abs(chunk, out=rows)
+            np.square(rows, out=rows)
+            start += len(chunk)
+
+    if n_ranges == 1:
+        fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(n_ranges - 1) as pool:
+            others = [pool.submit(fill, i) for i in range(1, n_ranges)]
+            fill(0)
+            for done in others:
+                done.result()
+        rng.bit_generator.state = rngs[-1].bit_generator.state
     return _papr_db(power.reshape(-1), levels)

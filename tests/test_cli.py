@@ -444,15 +444,30 @@ class TestCliCommands:
         assert "guard_slots" in out.err and out.out == ""
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.signal.lfilter reproduces the fading loop bit for bit, but its
-    # import takes about 1.4 s in a fresh interpreter, several times the
-    # set-up of a whole run; every dpwsim command would pay it
+def _modules_loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` that a fresh ``import dpwsim.cli`` loads."""
     import dpwsim
 
-    code = "import sys, dpwsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, dpwsim.cli; "
+        f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(dpwsim.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.signal.lfilter reproduces the fading loop bit for bit, but its
+    # import takes about 1.4 s in a fresh interpreter, several times the
+    # set-up of a whole run; every dpwsim command would pay it
+    assert _modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, about 18 ms in a fresh
+    # interpreter; an import that named it would add that to every set-up,
+    # load_config and selftest included, which draw nothing
+    assert _modules_loaded_by_cli_import("numpy.random") == "[]"

@@ -1,7 +1,8 @@
 """The chunked PAPR ensemble against its block-by-block oracle, from the
-chunk signals up to the ``dpwsim papr`` table; the block axis of both
-generators, the percentile sequence of ``measure_papr``, and its quantile
-selection against numpy's."""
+chunk signals up to the ``dpwsim papr`` table, at every number of block
+ranges; the raw-word symbol draws against ``Generator.integers``; the block
+axis of both generators, the percentile sequence of ``measure_papr``, and its
+quantile selection against numpy's."""
 
 import tracemalloc
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpwsim import waveform as waveform_module
 from dpwsim.cli import PAPR_PERCENTILES, main
 from dpwsim.orchestrator import STREAM_PAPR
 from dpwsim.waveform import (
@@ -31,6 +33,15 @@ ENSEMBLE_SIZES = [1, C - 1, C, C + 1, 2 * C + 3]
 
 def _seeded(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """Sets the usable core count, and so the number of block ranges of an
+    ensemble of at least four chunks."""
+    def use(cores):
+        monkeypatch.setattr(waveform_module, "_usable_cores", lambda: cores)
+    return use
 
 
 def _joined(chunks):
@@ -78,18 +89,21 @@ def test_ensemble_papr_matches_oracle(waveform, modulation, oversample, n_blocks
 
 
 @pytest.mark.parametrize("waveform", ["cp-ofdm", "dft-s-ofdm"])
-def test_ensemble_peak_memory_stays_near_its_power_buffer(waveform):
+def test_ensemble_peak_memory_stays_near_its_power_buffer(waveform, ranges):
     # the envelope power is the one ensemble-sized array; the complex signal
-    # (twice its size) and its copies must never be held at once
+    # (twice its size) and its copies must never be held at once, and the
+    # block ranges together keep no more blocks in flight than one range
     n_blocks = 8192
     power_bytes = n_blocks * 256 * 8
-    tracemalloc.start()
-    try:
-        papr_ensemble(waveform, "16qam", n_blocks, PAPR_PERCENTILES, _seeded(4003))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * power_bytes
+    for cores in (1, 2, 4):
+        ranges(cores)
+        tracemalloc.start()
+        try:
+            papr_ensemble(waveform, "16qam", n_blocks, PAPR_PERCENTILES, _seeded(4003))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * power_bytes, cores
 
 
 @st.composite
@@ -149,6 +163,118 @@ def test_unknown_waveform_rejected():
         next(papr_ensemble_signal("ofdma", "qpsk", 4, _seeded(1)))
     with pytest.raises(ValueError):
         papr_ensemble("ofdma", "qpsk", 4, 0.9, _seeded(1))
+
+
+@pytest.mark.parametrize(
+    "waveform, modulation, n_blocks",
+    [("ofdma", "qpsk", 4), ("cp-ofdm", "bpsk", 4), ("cp-ofdm", "qpsk", 0), ("dft-s-ofdm", "16qam", -3)],
+)
+def test_bad_ensemble_rejected_before_any_draw(waveform, modulation, n_blocks):
+    rng = _seeded(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        next(papr_ensemble_signal(waveform, modulation, n_blocks, rng))
+    with pytest.raises(ValueError):
+        papr_ensemble(waveform, modulation, n_blocks, 0.9, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("chunk_blocks", [0, -1])
+def test_empty_chunks_rejected(chunk_blocks):
+    with pytest.raises(ValueError):
+        next(papr_ensemble_signal("cp-ofdm", "qpsk", 4, _seeded(1), chunk_blocks=chunk_blocks))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_other_bit_generators_rejected_before_any_draw(bit_generator):
+    # only PCG64's raw words are the halves integers(0, 4) reads, and only
+    # its advance steps by single words
+    rng, twin = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+    with pytest.raises(TypeError):
+        papr_ensemble("cp-ofdm", "qpsk", 600, 0.9, rng)
+    with pytest.raises(TypeError):
+        next(papr_ensemble_signal("cp-ofdm", "qpsk", 4, rng))
+    for draw in (qpsk_symbols, qam16_symbols):
+        with pytest.raises(TypeError):
+            draw(8, rng)
+    # untouched: it goes on as its twin does
+    assert rng.integers(0, 4, size=9).tolist() == twin.integers(0, 4, size=9).tolist()
+
+
+def _reference_rows(ref, shape, rng):
+    """The oracle's symbols for ``shape``, one row of ``shape[-1]`` at a time."""
+    if len(shape) == 1:
+        return ref(shape[0], rng)
+    rows = [ref(shape[-1], rng) for _ in range(int(np.prod(shape[:-1])))]
+    return np.array(rows, dtype=complex).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    draw_ref=st.sampled_from([(qpsk_symbols, reference_qpsk), (qam16_symbols, reference_qam16)]),
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]),
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.integers(0, 9),
+    shape=st.integers(0, 1000).map(lambda n: (n,))
+    | st.tuples(st.integers(1, 6), st.integers(0, 120)),
+)
+@example(draw_ref=(qam16_symbols, reference_qam16), bit_generator=np.random.PCG64, seed=1,
+         earlier=1, shape=(999,))
+@example(draw_ref=(qpsk_symbols, reference_qpsk), bit_generator=np.random.PCG64, seed=1,
+         earlier=3, shape=(1,))
+@example(draw_ref=(qpsk_symbols, reference_qpsk), bit_generator=np.random.PCG64DXSM, seed=2,
+         earlier=1, shape=(0,))
+@example(draw_ref=(qpsk_symbols, reference_qpsk), bit_generator=np.random.PCG64, seed=3,
+         earlier=1, shape=(3, 47))
+def test_raw_word_draws_equal_integers_draws(draw_ref, bit_generator, seed, earlier, shape):
+    # the values and the whole generator state, its buffered half included,
+    # after an even or odd number of earlier integers(0, 4) draws
+    draw, ref = draw_ref
+    rng_ref = np.random.Generator(bit_generator(seed))
+    rng = np.random.Generator(bit_generator(seed))
+    rng_ref.integers(0, 4, size=earlier)
+    rng.integers(0, 4, size=earlier)
+    want = _reference_rows(ref, shape, rng_ref)
+    got = draw(shape, rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+@pytest.mark.parametrize("waveform", ["cp-ofdm", "dft-s-ofdm"])
+def test_ensemble_ranges_match_the_oracle(waveform, modulation, cores, buffered, ranges):
+    # 47 draws a block start the ranges on either half of a word, and a
+    # generator that holds a buffered half shifts every range by one draw
+    ranges(cores)
+    n_blocks = 4 * C + 3
+    rng_ref, rng = _seeded(4004), _seeded(4004)
+    if buffered:
+        rng_ref.integers(0, 4, size=3)
+        rng.integers(0, 4, size=3)
+    kw = dict(n_subcarriers=64, n_data=47)
+    sig = reference_ensemble_signal(waveform, modulation, n_blocks, rng_ref, **kw)
+    ref = measure_papr(sig, PAPR_PERCENTILES)
+    assert papr_ensemble(waveform, modulation, n_blocks, PAPR_PERCENTILES, rng, **kw) == ref
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_ensemble_uses_one_range_per_usable_core_up_to_four(ranges, monkeypatch):
+    chunk_sizes = []
+    signal = waveform_module.papr_ensemble_signal
+
+    def spy(*args, **kwargs):
+        chunk_sizes.append(kwargs["chunk_blocks"])
+        return signal(*args, **kwargs)
+
+    monkeypatch.setattr(waveform_module, "papr_ensemble_signal", spy)
+    for cores, n_blocks, want in [(8, 4 * C, 4), (3, 4 * C, 3), (8, 2 * C + 1, 3), (8, C, 1)]:
+        ranges(cores)
+        chunk_sizes.clear()
+        papr_ensemble("cp-ofdm", "qpsk", n_blocks, 0.9, _seeded(1), n_subcarriers=64, n_data=8)
+        assert chunk_sizes == [C // want] * want
 
 
 @pytest.mark.parametrize(
