@@ -16,16 +16,17 @@ gives, per size, layer and variant, the median and quartiles of the
 repeats and the median's ratio to the first variant's, and the machine (core count, python and numpy versions).
 
 The layers run on the inputs a step gives them: the fading call evolves a
-dropped cell's fading over one step (into the cell's kept buffers where the
-variant's ``Cell`` has them), the AMC lookup maps a step's (slot, terminal)
-SNR, the histogram counts bin a step's sounding SNR, and the whole step
-continues one episode at the default thresholds.
+dropped cell's fading over one step into the cell's kept buffers, the AMC
+lookup maps a step's (slot, terminal) SNR, the histogram counts bin a
+step's sounding SNR, and the whole step continues one episode at the
+default thresholds. Every call passes one generator, stream set and
+threshold pair per lane, so each variant must be a checkout that has
+episode lanes.
 
 The lane figures step L episodes (1, 4 and 8 at ci and desk size, 1 and 2
-at paper size) at the default thresholds: as the lanes of one cell where
-the variant's orchestrator has lane cells, and one cell after the other
-where it has not. They give the time per episode-step and the minor page
-faults per step of all L episodes.
+at paper size) at the default thresholds, as the lanes of one cell. They
+give the time per episode-step and the minor page faults per step of all L
+episodes.
 
 The PAPR figures time one ``papr_ensemble`` call per waveform and
 modulation at 10,000 blocks, on the seed's ``dpwsim papr`` stream. They are
@@ -80,10 +81,13 @@ class Case:
         self.pkg = pkg
         self.cfg = cfg = pkg["config"].load_config(profile=size, seed=seed)
         self.streams = orch.episode_streams(seed, orch.STREAM_EVAL, 0)
-        self.cell, self.fading = orch.drop_ues(cfg, self.streams.drop)
+        self.cell, self.fading = orch.drop_ues(cfg, [self.streams.drop])
         n_slots, period = cfg.episode.slots_per_step, cfg.episode.srs_period_slots
-        self.rng = np.random.default_rng(seed)
-        traj = link.evolve_fading(self.fading, cfg.cell.fading_rho, self.rng, n_slots)
+        self.rngs = [np.random.default_rng(seed)]
+        self.buffers = {"out": self.cell.trajectory, "noise": self.cell.fading_noise}
+        traj = link.evolve_fading(
+            self.fading, cfg.cell.fading_rho, self.rngs, n_slots, **self.buffers
+        )
         n0 = link.noise_power_dbm(cfg.cell.noise())
         p_cp = link.transmit_power(cfg.power, self.cell.path_loss_db, link.CP_OFDM)
         self.snr = link.compute_snr(p_cp, self.cell.path_loss_db, link.precoded_gain(traj), n0)
@@ -91,16 +95,11 @@ class Case:
             p_cp, self.cell.path_loss_db, link.sounding_gain(traj[::period]), n0
         ).ravel()
         self.bandwidth = cfg.cell.noise().bandwidth_hz
-        kept = getattr(self.cell, "trajectory", None)
-        self.buffers = {} if kept is None else {"out": kept, "noise": self.cell.fading_noise}
-        # a lane cell's draw buffer is laid out per lane, for a sequence of
-        # generators
-        self.fading_rng = [self.rng] if hasattr(self.cell, "lane") else self.rng
 
     def evolve_fading(self):
         cfg = self.cfg
         self.pkg["link_model"].evolve_fading(
-            self.fading, cfg.cell.fading_rho, self.fading_rng, cfg.episode.slots_per_step,
+            self.fading, cfg.cell.fading_rho, self.rngs, cfg.episode.slots_per_step,
             **self.buffers,
         )
 
@@ -114,31 +113,29 @@ class Case:
     def simulate_step(self):
         dpws = self.cfg.dpws
         _, self.fading = self.pkg["orchestrator"].simulate_step(
-            self.cell, self.fading, dpws.zeta_db, dpws.xi_db, self.cfg, self.streams
+            self.cell, self.fading, [dpws.zeta_db], [dpws.xi_db], self.cfg, [self.streams],
+            events=[], episode=[0],
         )
 
 
 class LaneCase:
     """One variant at one size: ``lanes`` evaluation episodes stepped at
-    the default thresholds, as the lanes of one cell or one cell each."""
+    the default thresholds, as the lanes of one cell."""
 
     def __init__(self, pkg, size: str, seed: int, lanes: int):
         orch = pkg["orchestrator"]
         self.simulate_step = orch.simulate_step
         self.cfg = cfg = pkg["config"].load_config(profile=size, seed=seed)
-        streams = [orch.episode_streams(seed, orch.STREAM_EVAL, e) for e in range(lanes)]
-        if hasattr(orch.Cell, "lane"):
-            self.cells = [[*orch.drop_ues(cfg, [s.drop for s in streams]), streams]]
-        else:
-            self.cells = [[*orch.drop_ues(cfg, s.drop), s] for s in streams]
+        self.streams = [orch.episode_streams(seed, orch.STREAM_EVAL, e) for e in range(lanes)]
+        self.cell, self.fading = orch.drop_ues(cfg, [s.drop for s in self.streams])
+        self.episodes = list(range(lanes))
 
     def step(self):
-        dpws = self.cfg.dpws
-        for entry in self.cells:
-            cell, fading, streams = entry
-            _, entry[1] = self.simulate_step(
-                cell, fading, dpws.zeta_db, dpws.xi_db, self.cfg, streams
-            )
+        dpws, lanes = self.cfg.dpws, len(self.episodes)
+        _, self.fading = self.simulate_step(
+            self.cell, self.fading, [dpws.zeta_db] * lanes, [dpws.xi_db] * lanes, self.cfg,
+            self.streams, events=[], episode=self.episodes,
+        )
 
 
 class PaprCase:

@@ -13,9 +13,9 @@ of slots.
 
 ``on_srs`` steps one terminal through one reception. The simulator runs
 ``on_srs_block``, which takes all terminals through all soundings of a
-step at once, each under its own thresholds if given (so episodes run as
-lanes of one step keep theirs), and works once per switch in each window
-of soundings rather than once per sounding: a terminal's counter at any
+step at once, each under its own thresholds (so episodes run as lanes of
+one step keep theirs), and works once per switch in each window of
+soundings rather than once per sounding: a terminal's counter at any
 sounding is just the length of its current run of occasions.
 """
 
@@ -88,8 +88,8 @@ def on_srs_block(
     gamma_db: np.ndarray,
     sounding_slots: np.ndarray,
     cfg: DpwsConfig,
-    zeta_db=None,
-    xi_db=None,
+    zeta_db: np.ndarray,
+    xi_db: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``on_srs`` over a run of soundings for many terminals at once.
 
@@ -98,10 +98,10 @@ def on_srs_block(
     terminals on DFT-S-OFDM and ``c`` holds their occasion counters. A
     terminal hears the soundings at or after its ``guard_end`` slot; a
     switch at slot s sets ``guard_end`` to s + 1 + ``cfg.guard_slots``.
-    ``zeta_db`` and ``xi_db``, when given, replace ``cfg``'s thresholds by
-    one per terminal (or any shape that broadcasts over the terminals), so
-    terminals under different thresholds share one call; a terminal's
-    switches depend on its own thresholds alone.
+    ``zeta_db`` and ``xi_db`` hold each terminal's threshold and
+    hysteresis, so terminals under different thresholds share one call; a
+    terminal's switches depend on its own thresholds alone, and ``cfg``'s
+    thresholds are not read.
 
     The soundings are taken in windows of ``WINDOW_SOUNDINGS`` rows, and a
     window is processed once per switch, not once per sounding: from a
@@ -117,9 +117,8 @@ def on_srs_block(
     Returns the new (is_df, c, guard_end) and the switches as (sounding
     index, terminal index) arrays, sorted by sounding and then terminal.
     """
-    zeta = cfg.zeta_db if zeta_db is None else np.asarray(zeta_db, dtype=float)
-    xi = cfg.xi_db if xi_db is None else np.asarray(xi_db, dtype=float)
-    if (np.asarray(xi) < 0).any():
+    zeta, xi = np.asarray(zeta_db, dtype=float), np.asarray(xi_db, dtype=float)
+    if (xi < 0).any():
         raise ValueError("hysteresis must be nonnegative")
     # -inf + inf is NaN, as in float arithmetic: no sounding lies above it
     with np.errstate(invalid="ignore"):

@@ -129,10 +129,6 @@ class ThroughputStats:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, k) for k in REWARD_FACTOR_IDS])
 
-    @classmethod
-    def from_array(cls, values) -> "ThroughputStats":
-        return cls(**dict(zip(REWARD_FACTOR_IDS, map(float, values))))
-
 
 def throughput_percentiles(samples) -> ThroughputStats:
     """Empirical quantiles (linear interpolation between closest ranks) at

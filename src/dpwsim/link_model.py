@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import PRECODER_CODEBOOK
-
 CP_OFDM = "cp-ofdm"
 DFT_S_OFDM = "dft-s-ofdm"
 
@@ -43,6 +41,11 @@ DEFAULT_MCS_TABLE = (
     (17.96, 5.1152),
     (19.8, 5.5547),
 )
+
+# Rank-1 two-port uplink codebook; columns are unit-norm precoders.
+PRECODER_CODEBOOK = np.array(
+    [[1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex
+).T / np.sqrt(2.0)
 
 
 @dataclass
@@ -152,67 +155,54 @@ def draw_fading(shape, rng: np.random.Generator) -> np.ndarray:
 def evolve_fading(
     h: np.ndarray,
     rho: float,
-    rng,
+    rngs,
     n_slots: int,
     *,
-    out: np.ndarray | None = None,
-    noise: np.ndarray | None = None,
+    out: np.ndarray,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Trajectory of ``n_slots`` Gauss-Markov steps ``h' = rho*h +
     sqrt(1-rho^2)*w`` with w drawn CN(0, 1) per element; preserves unit
-    mean element power. Returns an array of shape ``(n_slots,) + h.shape``
-    whose last entry is the final state.
+    mean element power. Fills and returns ``out``, whose last entry is the
+    final state.
 
-    ``rng`` is one generator, or a sequence of L generators, one per lane:
-    the first axis of ``h`` then holds L equal lanes back to back, and lane
-    l's noise comes from ``rng[l]`` alone, exactly as if its lane were
-    evolved by itself. Each lane's noise of all slots comes from one draw,
-    laid out so that it equals one ``draw_fading(lane_shape, rng)`` per
-    slot; the draws are interleaved into the trajectory and scaled in place
-    on its real and imaginary parts, and the recurrence then runs once for
-    all lanes. A long trajectory holds only the draw and the result, not
-    three complex temporaries of its size as well. ``rho == 1`` freezes the
-    state and draws nothing.
+    ``rngs`` holds one generator per lane: the first axis of ``h`` holds
+    the L = ``len(rngs)`` equal lanes back to back, and lane l's noise comes
+    from ``rngs[l]`` alone, exactly as if its lane were evolved by itself.
+    Each lane's noise of all slots comes from one draw, laid out so that it
+    equals one ``draw_fading(lane_shape, rngs[l])`` per slot; the draws are
+    interleaved into the trajectory and scaled in place on its real and
+    imaginary parts, and the recurrence then runs once for all lanes.
+    ``rho == 1`` freezes the state and draws nothing.
 
     ``out`` (complex, ``(n_slots,) + h.shape``) and ``noise`` (float64,
-    ``(n_slots, 2) + h.shape`` for one generator, ``(L, n_slots, 2,
-    len(h) // L) + h.shape[1:]`` for L), when given, are C-contiguous
-    buffers that receive the trajectory and the draws, and ``out`` is
-    returned: a caller that steps the same shape again and again keeps
-    them, and pays no fresh pages per call. ``rng.standard_normal(out=)``
-    draws the same values and leaves the same generator state as an
-    allocating draw. ``h`` must not share memory with ``out``.
+    ``(L, n_slots, 2, len(h) // L) + h.shape[1:]``) are C-contiguous
+    buffers that receive the trajectory and the draws: a caller that steps
+    the same shape again and again keeps them, and pays no fresh pages per
+    call. ``rng.standard_normal(out=)`` draws the same values and leaves
+    the same generator state as an allocating draw. ``h`` must not share
+    memory with ``out``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     shape = (n_slots,) + h.shape
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+    if out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     if rho == 1.0:
         out[...] = h
         return out
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     lanes = len(rngs)
-    if not single and (lanes == 0 or h.ndim == 0 or len(h) % lanes):
+    if lanes == 0 or len(h) % lanes:
         raise ValueError(f"{lanes} lanes do not split a state of shape {h.shape}")
-    # one lane's draw is (n_slots, 2) + its state's shape; a single
-    # generator's buffer has no lane axis
-    lane_shape = (n_slots, 2) + (h.shape if single else (len(h) // lanes,) + h.shape[1:])
-    noise_shape = lane_shape if single else (lanes,) + lane_shape
-    if noise is None:
-        noise = np.empty(noise_shape)
-    elif noise.shape != noise_shape:
-        raise ValueError(f"noise must have shape {noise_shape}, got {noise.shape}")
-    # checks noise's dtype (float64) and contiguity itself
-    draws = noise.reshape((lanes,) + lane_shape)
-    for lane_rng, draw in zip(rngs, draws):
+    lane_shape = (n_slots, 2, len(h) // lanes) + h.shape[1:]
+    if noise.shape != (lanes,) + lane_shape:
+        raise ValueError(f"noise must have shape {(lanes,) + lane_shape}, got {noise.shape}")
+    # standard_normal checks the buffer's dtype (float64) and contiguity
+    for lane_rng, draw in zip(rngs, noise):
         lane_rng.standard_normal(out=draw)
     # lane l's draw of slot s fills the trajectory's terminals of lane l
     lanes_out = out.reshape((n_slots, lanes) + lane_shape[2:])
-    lanes_out.real, lanes_out.imag = draws[:, :, 0].swapaxes(0, 1), draws[:, :, 1].swapaxes(0, 1)
+    lanes_out.real, lanes_out.imag = noise[:, :, 0].swapaxes(0, 1), noise[:, :, 1].swapaxes(0, 1)
     # sqrt(1-rho^2) * (z_re + 1j*z_im) / sqrt(2) on the real and imaginary
     # parts, rounded as numpy's complex arithmetic rounds it: dividing by a
     # real scales each part by 1/sqrt(2), then each part is scaled

@@ -9,9 +9,9 @@ The cell is a ``Cell`` of arrays over its terminals, and a step is one
 array program over (slot, terminal): the fading trajectory, the gains, the
 SNR budgets, the throughput mapping and the sounding statistics each come
 from a fixed number of numpy calls over the whole step, and the switching
-machine takes all of its soundings in one call. The slot-by-slot loop it
-replaces is kept as a test oracle (``tests/step_reference.py``); both give
-identical outputs.
+machine takes all of its soundings in one call. A slot-by-slot loop,
+``tests/step_reference.py``, is its test oracle; both give identical
+outputs.
 
 A cell can hold several episodes as lanes: their terminals lie lane-major
 in its arrays, each lane draws from its own streams and under its own
@@ -165,17 +165,15 @@ def agent_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_AGENT])))
 
 
-def drop_ues(cfg: SimConfig, rng) -> tuple[Cell, np.ndarray]:
+def drop_ues(cfg: SimConfig, rngs) -> tuple[Cell, np.ndarray]:
     """Uniform distances in the configured annulus, per-terminal lognormal
     shadowing frozen for the episode, fresh fading; returns the cell, with
     fading buffers for steps of ``slots_per_step`` slots, and its
-    (terminal, rx, tx) fading array. ``rng`` is one generator, or a
-    sequence of them, one per lane: each lane is dropped from its own, as
-    one episode would be."""
+    (terminal, rx, tx) fading array. ``rngs`` holds one generator per
+    lane, and each lane is dropped from its own, as one episode would be."""
     n = cfg.episode.ues_per_episode
     n_slots = cfg.episode.slots_per_step
     cell = cfg.cell
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     distances, shadows, fadings = [], [], []
     for lane_rng in rngs:
         distances.append(lane_rng.uniform(cell.min_distance_m, cell.max_distance_m, size=n))
@@ -201,8 +199,8 @@ def simulate_step(
     streams,
     *,
     dpws_enabled: bool = True,
-    events: list | None = None,
-    episode=0,
+    events: list,
+    episode,
     slot_offset: int = 0,
     trace: dict | None = None,
 ) -> tuple[list[CellKpiReport], np.ndarray]:
@@ -210,10 +208,10 @@ def simulate_step(
     and aggregate each lane's KPIs.
 
     The lanes are independent episodes that share one array program:
-    ``streams`` holds one ``EpisodeStreams`` per lane (or is one, for a
-    single lane), ``zeta_db`` and ``xi_db`` are each lane's thresholds (or
-    one pair for all), and ``episode`` is each lane's episode label (or one
-    for all). Every lane gets the bytes it would get stepped alone.
+    ``streams``, ``zeta_db``, ``xi_db`` and ``episode`` hold one entry per
+    lane (its ``EpisodeStreams``, thresholds and episode label), and a
+    sequence of any other length raises ``ValueError``. Every lane gets the
+    bytes it would get stepped alone.
 
     The step is one array program over (slot, terminal). Fading evolves
     every slot for every terminal regardless of switching decisions, so the
@@ -237,9 +235,10 @@ def simulate_step(
     the evolved fading array. ``trace``, when given, receives the per-slot
     (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
     """
-    lanes = [streams] if isinstance(streams, EpisodeStreams) else list(streams)
-    if len(lanes) != cell.lanes:
-        raise ValueError(f"{len(lanes)} streams for a cell of {cell.lanes} lanes")
+    for name, per_lane in (("streams", streams), ("zeta_db", zeta_db), ("xi_db", xi_db),
+                           ("episode", episode)):
+        if len(per_lane) != cell.lanes:
+            raise ValueError(f"{len(per_lane)} {name} for a cell of {cell.lanes} lanes")
     n_lanes, n = cell.lanes, len(cell) // cell.lanes
     cell_cfg, ep_cfg, dpws_cfg = cfg.cell, cfg.episode, cfg.dpws
     n_slots, period = ep_cfg.slots_per_step, ep_cfg.srs_period_slots
@@ -255,7 +254,7 @@ def simulate_step(
     # power reference (the multi-port cap), so a switch does not shift
     # gamma by the back-off gap and thresholds compare like with like.
     traj = evolve_fading(
-        fading, cell_cfg.fading_rho, [s.fading for s in lanes], n_slots,
+        fading, cell_cfg.fading_rho, [s.fading for s in streams], n_slots,
         out=cell.trajectory, noise=cell.fading_noise,
     )
     gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
@@ -268,9 +267,8 @@ def simulate_step(
     is_df, c, guard_end = cell.is_df, cell.c, cell.guard_end
     sw_snd = sw_ue = np.zeros(0, dtype=np.int64)
     if dpws_enabled:
-        # each lane's thresholds, repeated over its terminals; one pair
-        # holds for all
-        zeta, xi = (np.repeat(x, n) if np.ndim(x) else x for x in (zeta_db, xi_db))
+        # each lane's thresholds, repeated over its terminals
+        zeta, xi = np.repeat(zeta_db, n), np.repeat(xi_db, n)
         is_df, c, guard_end, sw_snd, sw_ue = on_srs_block(
             is_df, c, guard_end, gamma, sounding_slots, dpws_cfg, zeta, xi
         )
@@ -285,13 +283,11 @@ def simulate_step(
     ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
     is_df_slots = df_rows[:-1]
     silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
-    if events is not None:
-        to_df = df_rows[row, sw_ue].tolist()
-        labels = list(episode) if np.ndim(episode) else [episode] * n_lanes
-        lane, ue = np.divmod(sw_ue, n)
-        for slot, k, i, df in zip(sw_slot.tolist(), lane.tolist(), ue.tolist(), to_df):
-            frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
-            events.append((labels[k], i, slot_offset + slot, frm, to))
+    to_df = df_rows[row, sw_ue].tolist()
+    lane, ue = np.divmod(sw_ue, n)
+    for slot, k, i, df in zip(sw_slot.tolist(), lane.tolist(), ue.tolist(), to_df):
+        frm, to = (CP_OFDM, DFT_S_OFDM) if df else (DFT_S_OFDM, CP_OFDM)
+        events.append((episode[k], i, slot_offset + slot, frm, to))
 
     # link budgets, each only if some slot reads it; snr_df carries the
     # single-carrier penalty of the throughput mapping. Then one throughput
@@ -349,7 +345,7 @@ def simulate_step(
     # terminals that spent the whole transmission in outage
     tp_mean = tp.mean(axis=0)
     reports = []
-    for k, lane_streams in enumerate(lanes):
+    for k, lane_streams in enumerate(streams):
         terminals = cell.lane(k)
         lane_heard = heard[sounded[:, k], terminals]
         lane_gamma = gamma[sounded[:, k], terminals]

@@ -41,11 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rank-1 two-port uplink codebook; columns are unit-norm precoders.
-PRECODER_CODEBOOK = np.array(
-    [[1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex
-).T / np.sqrt(2.0)
-
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=complex) / np.sqrt(2.0)
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 # symbol 4*i + q has the in-phase level i and the quadrature level q; set

@@ -10,7 +10,7 @@ threshold search followed by a clipped efficiency lookup.
 
 import numpy as np
 
-from dpwsim.waveform import PRECODER_CODEBOOK
+from dpwsim.link_model import PRECODER_CODEBOOK
 
 
 def reference_precoded_gain(h, codebook=PRECODER_CODEBOOK):

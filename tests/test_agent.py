@@ -150,8 +150,8 @@ class TestReward:
         rng = np.random.default_rng(3)
         base = 1e6 * (1.0 + rng.uniform(0.0, 1.0, size=9))
         gains = 1e-4 * rng.uniform(-1.0, 1.0, size=9)
-        prev = ThroughputStats.from_array(base)
-        cur = ThroughputStats.from_array(base * (1.0 + gains))
+        prev = ThroughputStats(*base)
+        cur = ThroughputStats(*(base * (1.0 + gains)))
         fwd = compute_reward(prev, cur, AgentConfig())
         bwd = compute_reward(cur, prev, AgentConfig())
         assert fwd + bwd == pytest.approx(0.0, abs=1e-4)

@@ -69,14 +69,15 @@ class TestHandTraces:
 
 
 def block_switches(initial_waveform, gammas, cfg, guard_end=0, slots=None):
-    """One terminal through ``on_srs_block``; returns its switch events
-    like ``drive`` and the final state. Soundings sit on slots 0, 1, 2, ...
-    unless ``slots`` says otherwise."""
+    """One terminal through ``on_srs_block`` under ``cfg``'s thresholds;
+    returns its switch events like ``drive`` and the final state. Soundings
+    sit on slots 0, 1, 2, ... unless ``slots`` says otherwise."""
     slots = np.arange(len(gammas)) if slots is None else np.asarray(slots)
     zero = np.zeros(1, dtype=np.int64)
     is_df, c, end, sw_snd, sw_ue = on_srs_block(
         np.array([initial_waveform == DFT_S_OFDM]), zero, np.array([guard_end]),
         np.array(gammas, dtype=float)[:, None], slots, cfg,
+        np.array([cfg.zeta_db]), np.array([cfg.xi_db]),
     )
     assert list(sw_ue) == [0] * len(sw_snd)
     waveform = initial_waveform
@@ -157,6 +158,8 @@ class TestReferenceEquivalence:
                 gamma,
                 slots,
                 cfg,
+                np.full(n, cfg.zeta_db),
+                np.full(n, cfg.xi_db),
             )
             # the scalar machine, sounding by sounding; guard_remaining holds
             # the guard's end slot here
@@ -197,6 +200,7 @@ class TestReferenceEquivalence:
         is_df, c, end, sw_snd, sw_ue = on_srs_block(
             np.array([w == DFT_S_OFDM for w in starts]), np.zeros(len(firsts), dtype=np.int64),
             guard_end, gamma, slots, cfg,
+            np.full(len(firsts), cfg.zeta_db), np.full(len(firsts), cfg.xi_db),
         )
         assert len(sw_snd) > n_snd  # the machine is busy
         got = list(zip(sw_snd.tolist(), sw_ue.tolist()))
@@ -255,18 +259,6 @@ class TestLaneThresholds:
         assert got == sorted(want)
         if counter == 1:
             assert sw_ue.tolist().count(lanes * n - 1) == n_snd  # every sounding
-
-    def test_one_threshold_for_all_equals_the_config(self):
-        rng = np.random.default_rng(5)
-        gamma = rng.uniform(-6.0, 10.0, size=(40, 12))
-        args = (np.zeros(12, dtype=bool), np.zeros(12, dtype=np.int64),
-                np.zeros(12, dtype=np.int64), gamma, 3 * np.arange(40))
-        cfg = DpwsConfig(zeta_db=1.0, xi_db=2.0, counter=2, guard_slots=4)
-        want = on_srs_block(*args, cfg)
-        got = on_srs_block(*args, DpwsConfig(counter=2, guard_slots=4),
-                           np.full(12, 1.0), np.full(12, 2.0))
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
 
     def test_negative_lane_hysteresis_rejected(self):
         with pytest.raises(ValueError, match="hysteresis"):

@@ -256,7 +256,7 @@ class TestThroughputStats:
 
     def test_round_trip_array(self):
         stats = throughput_percentiles(np.linspace(1.0, 2.0, 50))
-        again = ThroughputStats.from_array(stats.as_array())
+        again = ThroughputStats(*stats.as_array())
         assert again == stats
 
 

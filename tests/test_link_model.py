@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from dpwsim.link_model import (
     CP_OFDM,
     DFT_S_OFDM,
+    PRECODER_CODEBOOK,
     McsTable,
     NoiseConfig,
     PowerControlConfig,
@@ -22,7 +23,6 @@ from dpwsim.link_model import (
     sounding_gain,
     transmit_power,
 )
-from dpwsim.waveform import PRECODER_CODEBOOK
 from gain_reference import (
     reference_map_throughput,
     reference_precoded_gain,
@@ -124,119 +124,125 @@ class TestNoise:
             NoiseConfig(n_rb=0)
 
 
+def buffers(h, n_slots, lanes=1):
+    """The trajectory and draw buffers of ``evolve_fading`` for a state
+    ``h`` of ``lanes`` lanes, filled with NaN."""
+    lane_shape = (n_slots, 2, len(h) // lanes) + h.shape[1:]
+    return (np.full((n_slots,) + h.shape, np.nan, dtype=complex),
+            np.full((lanes,) + lane_shape, np.nan))
+
+
+def one_draw_per_slot(h, rho, rng, n_slots):
+    """The Gauss-Markov recurrence with one fresh ``draw_fading`` per slot,
+    in numpy's complex arithmetic; ``rho == 1`` draws nothing."""
+    states = []
+    for _ in range(n_slots):
+        if rho < 1.0:
+            h = rho * h + np.sqrt(1.0 - rho * rho) * draw_fading(h.shape, rng)
+        states.append(h)
+    return np.array(states)
+
+
 class TestFading:
     def test_rho_one_freezes_state(self, rng):
+        # two lanes: neither generator draws
         h = draw_fading((4, 1, 2), rng)
-        before = rng.bit_generator.state
-        traj = evolve_fading(h, 1.0, rng, 3)
+        rngs = [rng, np.random.default_rng(1)]
+        out, noise = buffers(h, 3, lanes=2)
+        before = [r.bit_generator.state for r in rngs]
+        traj = evolve_fading(h, 1.0, rngs, 3, out=out, noise=noise)
         assert traj.shape == (3, 4, 1, 2)
         for state in traj:
             np.testing.assert_array_equal(state, h)
-        assert rng.bit_generator.state == before  # draws nothing
+        assert [r.bit_generator.state for r in rngs] == before
 
     def test_rho_zero_is_fresh_draw(self, rng):
         h = draw_fading((1, 2), rng)
-        h2 = evolve_fading(h, 0.0, np.random.default_rng(5), 1)[-1]
+        out, noise = buffers(h, 1)
+        h2 = evolve_fading(h, 0.0, [np.random.default_rng(5)], 1, out=out, noise=noise)[-1]
         h3 = draw_fading((1, 2), np.random.default_rng(5))
         np.testing.assert_allclose(h2, h3)
 
     def test_trajectory_equals_one_draw_per_slot(self, rng):
         h = draw_fading((6, 2, 2), rng)
-        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 5)
+        out, noise = buffers(h, 5)
+        traj = evolve_fading(h, 0.7, [np.random.default_rng(9)], 5, out=out, noise=noise)
         slot_rng = np.random.default_rng(9)
         for state in traj:
             h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading(h.shape, slot_rng)
             np.testing.assert_array_equal(state, h)
 
-    def test_zero_dim_state_is_carried(self, rng):
-        # iterating a 1-D trajectory yields copies, not views, of its slots
-        h = draw_fading((), rng)
-        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 3)
-        slot_rng = np.random.default_rng(9)
-        for state in traj:
-            h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading((), slot_rng)
-            assert state == h
-
     def test_unit_power_preserved(self, rng):
         h = draw_fading((1000, 1, 2), rng)
         n_steps = 50  # 50 x 1000 elements = 5e4+ evolutions
-        traj = evolve_fading(h, 0.9, rng, n_steps)
+        out, noise = buffers(h, n_steps)
+        traj = evolve_fading(h, 0.9, [rng], n_steps, out=out, noise=noise)
         acc = sum(np.mean(np.abs(state) ** 2) for state in traj)
         assert abs(acc / n_steps - 1.0) < 0.02
 
     def test_bad_rho_rejected(self, rng):
+        h = draw_fading((1, 2), rng)
+        out, noise = buffers(h, 1)
         with pytest.raises(ValueError):
-            evolve_fading(draw_fading((1, 2), rng), 1.5, rng, 1)
+            evolve_fading(h, 1.5, [rng], 1, out=out, noise=noise)
 
-    @staticmethod
-    def buffers(h, n_slots):
-        return (np.full((n_slots,) + h.shape, np.nan, dtype=complex),
-                np.full((n_slots, 2) + h.shape, np.nan))
-
-    @pytest.mark.parametrize("shape", [(), (3,), (50, 1, 2), (7, 2, 2)])
+    # shape0 is a single terminal, the smallest state
+    @pytest.mark.parametrize("shape", [(1,), (3,), (50, 1, 2), (7, 2, 2)])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.99, 1.0])
     def test_caller_buffers_equal_the_allocating_form(self, rng, shape, rho):
-        # the kept buffers give the same bits and leave the generator where
-        # the allocating form leaves it, over several calls through the same
-        # buffers, as a step after step does
+        # the kept buffers give the bits of the allocating recurrence, one
+        # draw_fading per slot, and leave the generator where it leaves it,
+        # over several calls through the same buffers, as a step after step
+        # does
         h = draw_fading(shape, rng)
         n_slots = 13
-        out, noise = self.buffers(h, n_slots)
+        out, noise = buffers(h, n_slots)
         mine, ref = np.random.default_rng(3), np.random.default_rng(3)
         h_mine = h_ref = h
         for _ in range(3):
             twin = copy.deepcopy(mine)  # draws what this call draws
-            traj = evolve_fading(h_mine, rho, mine, n_slots, out=out, noise=noise)
-            want = evolve_fading(h_ref, rho, ref, n_slots)
-            assert traj is out and np.shares_memory(traj, out)
+            traj = evolve_fading(h_mine, rho, [mine], n_slots, out=out, noise=noise)
+            want = one_draw_per_slot(h_ref, rho, ref, n_slots)
+            assert traj is out
             np.testing.assert_array_equal(traj, want)
             assert mine.bit_generator.state == ref.bit_generator.state
             if rho < 1.0:  # the draw went into the given buffer
                 np.testing.assert_array_equal(noise, twin.standard_normal(noise.shape))
-            h_mine, h_ref = traj[-1].copy(), want[-1].copy()
+            h_mine, h_ref = traj[-1].copy(), want[-1]
 
     def test_rho_one_fills_the_buffer_and_draws_nothing(self, rng):
         h = draw_fading((4, 1, 2), rng)
-        out, noise = self.buffers(h, 3)
+        out, noise = buffers(h, 3)
         before = rng.bit_generator.state
-        traj = evolve_fading(h, 1.0, rng, 3, out=out, noise=noise)
+        traj = evolve_fading(h, 1.0, [rng], 3, out=out, noise=noise)
         assert traj is out
         for state in traj:
             np.testing.assert_array_equal(state, h)
         assert rng.bit_generator.state == before
         assert np.isnan(noise).all()  # the draw buffer is not touched
 
-    def test_zero_dim_state_through_buffers(self, rng):
-        h = draw_fading((), rng)
-        out, noise = self.buffers(h, 4)
-        traj = evolve_fading(h, 0.7, np.random.default_rng(9), 4, out=out, noise=noise)
-        slot_rng = np.random.default_rng(9)
-        for state in traj:
-            h = 0.7 * h + np.sqrt(1.0 - 0.7 * 0.7) * draw_fading((), slot_rng)
-            assert state == h
-
     def test_mismatched_buffers_rejected(self, rng):
         h = draw_fading((5, 1, 2), rng)
-        out, noise = self.buffers(h, 4)
+        out, noise = buffers(h, 4)
         for bad_out in (out[:3], out.astype(np.complex64),
                         np.empty((4, 5, 1, 4), dtype=complex)[..., ::2]):
             with pytest.raises(ValueError):
-                evolve_fading(h, 0.7, rng, 4, out=bad_out, noise=noise)
+                evolve_fading(h, 0.7, [rng], 4, out=bad_out, noise=noise)
         with pytest.raises(ValueError):
-            evolve_fading(h, 0.7, rng, 4, out=out, noise=noise[:1])
+            evolve_fading(h, 0.7, [rng], 4, out=out, noise=noise[:, :1])
         with pytest.raises(TypeError):
-            evolve_fading(h, 0.7, rng, 4, out=out, noise=noise.astype(np.float32))
+            evolve_fading(h, 0.7, [rng], 4, out=out, noise=noise.astype(np.float32))
 
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 1.0])
     def test_lanes_equal_separate_trajectories(self, rng, lanes, rho):
         # each lane's terminals evolve from its own generator, bit for bit
-        # as alone, over several calls through the same buffers, and each
-        # generator ends where a lane of its own leaves it
+        # as alone with one draw_fading per slot, over several calls through
+        # the same buffers, and each generator ends where a lane of its own
+        # leaves it
         n, n_slots = 5, 7
         h = draw_fading((lanes * n, 2, 2), rng)
-        out = np.full((n_slots,) + h.shape, np.nan, dtype=complex)
-        noise = np.full((lanes, n_slots, 2, n, 2, 2), np.nan)
+        out, noise = buffers(h, n_slots, lanes)
         mine = [np.random.default_rng(10 + k) for k in range(lanes)]
         ref = [np.random.default_rng(10 + k) for k in range(lanes)]
         h_ref = [h[k * n:(k + 1) * n] for k in range(lanes)]
@@ -244,23 +250,23 @@ class TestFading:
             traj = evolve_fading(h, rho, mine, n_slots, out=out, noise=noise)
             assert traj is out
             for k in range(lanes):
-                want = evolve_fading(h_ref[k], rho, ref[k], n_slots)
+                want = one_draw_per_slot(h_ref[k], rho, ref[k], n_slots)
                 np.testing.assert_array_equal(traj[:, k * n:(k + 1) * n], want)
                 assert mine[k].bit_generator.state == ref[k].bit_generator.state
-                h_ref[k] = want[-1].copy()
+                h_ref[k] = want[-1]
             h = traj[-1].copy()
 
     def test_lane_buffers_and_split_checked(self, rng):
         h = draw_fading((6, 1, 2), rng)
         rngs = [np.random.default_rng(k) for k in range(3)]
-        out = np.empty((4,) + h.shape, dtype=complex)
-        with pytest.raises(ValueError):  # the single-generator layout
+        out, noise = buffers(h, 4, 3)
+        with pytest.raises(ValueError):  # a draw buffer with no lane axis
             evolve_fading(h, 0.7, rngs, 4, out=out, noise=np.empty((4, 2) + h.shape))
         with pytest.raises(ValueError):  # 6 terminals in 4 lanes
-            evolve_fading(h, 0.7, rngs + rngs[:1], 4)
+            evolve_fading(h, 0.7, rngs + rngs[:1], 4, out=out, noise=noise)
         with pytest.raises(ValueError):
-            evolve_fading(h, 0.7, [], 4)
-        evolve_fading(h, 0.7, rngs, 4, out=out, noise=np.empty((3, 4, 2, 2, 1, 2)))
+            evolve_fading(h, 0.7, [], 4, out=out, noise=noise)
+        evolve_fading(h, 0.7, rngs, 4, out=out, noise=noise)
 
 
 def entry_gains(h):

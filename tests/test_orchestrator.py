@@ -46,17 +46,27 @@ RUN_FILES = ("kpi_steps.csv", "switch_events.csv", "ue_samples.csv", "throughput
 
 def fresh_cell(cfg, stream=STREAM_TRAIN, episode=0, fixed=None):
     streams = episode_streams(cfg.seed, stream, episode)
-    cell, fading = drop_ues(cfg, streams.drop)
+    cell, fading = drop_ues(cfg, [streams.drop])
     if fixed is not None:
         cell.is_df[:] = fixed == DFT_S_OFDM
     return cell, fading, streams
 
 
+def one_lane_step(cell, fading, zeta, xi, cfg, streams, events=None, **kwargs):
+    """One step of a one-lane cell, its per-lane arguments passed as
+    one-element lists; returns the lane's report."""
+    [report], _ = simulate_step(
+        cell, fading, [zeta], [xi], cfg, [streams],
+        events=[] if events is None else events, episode=[0], **kwargs,
+    )
+    return report
+
+
 class TestDrop:
     def test_deterministic_under_seed(self):
         cfg = tiny_cfg(seed=9)
-        a, fading_a = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
-        b, fading_b = drop_ues(cfg, episode_streams(9, STREAM_TRAIN, 0).drop)
+        a, fading_a = drop_ues(cfg, [episode_streams(9, STREAM_TRAIN, 0).drop])
+        b, fading_b = drop_ues(cfg, [episode_streams(9, STREAM_TRAIN, 0).drop])
         np.testing.assert_array_equal(a.distance_m, b.distance_m)
         np.testing.assert_array_equal(a.path_loss_db, b.path_loss_db)
         np.testing.assert_array_equal(fading_a, fading_b)
@@ -64,7 +74,7 @@ class TestDrop:
     def test_distance_bounds_and_uniformity(self):
         cfg = tiny_cfg()
         cfg.episode.ues_per_episode = 4000
-        d = drop_ues(cfg, np.random.default_rng(3))[0].distance_m
+        d = drop_ues(cfg, [np.random.default_rng(3)])[0].distance_m
         lo, hi = cfg.cell.min_distance_m, cfg.cell.max_distance_m
         assert d.min() >= lo and d.max() <= hi
         # one-sample KS against the uniform CDF, 1% critical value
@@ -73,7 +83,7 @@ class TestDrop:
         assert ks < 1.63 / math.sqrt(d.size)
 
     def test_everyone_starts_multiport(self):
-        cell, fading = drop_ues(tiny_cfg(), np.random.default_rng(0))
+        cell, fading = drop_ues(tiny_cfg(), [np.random.default_rng(0)])
         assert len(cell) == len(fading) == 24
         assert not cell.is_df.any()
         assert not cell.c.any() and not cell.guard_end.any()
@@ -82,8 +92,8 @@ class TestDrop:
 class TestSimulateStep:
     def test_deterministic_report(self):
         cfg = tiny_cfg(seed=4)
-        [r1], _ = simulate_step(*self._cell(cfg))
-        [r2], _ = simulate_step(*self._cell(cfg))
+        r1 = one_lane_step(*self._cell(cfg))
+        r2 = one_lane_step(*self._cell(cfg))
         np.testing.assert_array_equal(r1.snr_hist.counts, r2.snr_hist.counts)
         assert r1.throughput == r2.throughput
         assert r1.mean_gamma_db == r2.mean_gamma_db
@@ -99,7 +109,7 @@ class TestSimulateStep:
         cell, fading, streams = fresh_cell(cfg)
         events = []
         # high threshold: switches
-        simulate_step(cell, fading, 25.0, 10.0, cfg, streams, events=events)
+        one_lane_step(cell, fading, 25.0, 10.0, cfg, streams, events=events)
         assert events and cell.guard_slots.any()
         np.testing.assert_array_equal(
             cell.bearing_slots + cell.outage_slots + cell.guard_slots, 60
@@ -108,9 +118,9 @@ class TestSimulateStep:
     def test_unreachable_threshold_equals_fixed_cp(self):
         cfg = tiny_cfg(seed=6)
         cell_a, fading_a, streams_a = fresh_cell(cfg)
-        [rep_a], _ = simulate_step(cell_a, fading_a, -math.inf, 5.0, cfg, streams_a)
+        rep_a = one_lane_step(cell_a, fading_a, -math.inf, 5.0, cfg, streams_a)
         cell_b, fading_b, streams_b = fresh_cell(cfg, fixed=CP_OFDM)
-        [rep_b], _ = simulate_step(cell_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
+        rep_b = one_lane_step(cell_b, fading_b, 0.0, 5.0, cfg, streams_b, dpws_enabled=False)
         np.testing.assert_array_equal(rep_a.snr_hist.counts, rep_b.snr_hist.counts)
         assert rep_a.throughput == rep_b.throughput
         np.testing.assert_array_equal(cell_a.throughput_bps, cell_b.throughput_bps)
@@ -121,7 +131,7 @@ class TestSimulateStep:
         cfg.dpws.guard_slots = 3
         cell, fading, streams = fresh_cell(cfg)
         events = []
-        simulate_step(cell, fading, math.inf, math.inf, cfg, streams, events=events)
+        one_lane_step(cell, fading, math.inf, math.inf, cfg, streams, events=events)
         assert cell.is_df.all()
         assert len(events) == len(cell)  # exactly one switch each, never back
 
@@ -133,7 +143,7 @@ class TestSimulateStep:
         cell, fading, streams = fresh_cell(cfg)
         events = []
         trace = {}
-        simulate_step(cell, fading, math.inf, math.inf, cfg, streams,
+        one_lane_step(cell, fading, math.inf, math.inf, cfg, streams,
                       events=events, trace=trace)
         assert events, "expected at least one switch"
         for episode, ue_id, slot, frm, to in events:
@@ -152,7 +162,7 @@ class TestSimulateStep:
         cell, fading, streams = fresh_cell(cfg)
         events = []
         trace = {}
-        simulate_step(cell, fading, math.inf, math.inf, cfg, streams,
+        one_lane_step(cell, fading, math.inf, math.inf, cfg, streams,
                       events=events, trace=trace)
         for episode, ue_id, slot, frm, to in events:
             assert not trace["is_df"][slot, ue_id]  # still on the old waveform that slot
@@ -169,7 +179,7 @@ class TestSimulateStep:
         def slot_tp(fixed, zeta, dpws_enabled):
             cell, fading, streams = fresh_cell(cfg, fixed=fixed)
             trace = {}
-            simulate_step(cell, fading, zeta, 2.0, cfg, streams,
+            one_lane_step(cell, fading, zeta, 2.0, cfg, streams,
                           dpws_enabled=dpws_enabled, trace=trace)
             return trace["tp"]
 
@@ -262,8 +272,8 @@ class TestRuns:
 
     def test_eval_drops_differ_from_training_drops(self):
         cfg = tiny_cfg(seed=24)
-        train, _ = drop_ues(cfg, episode_streams(cfg.seed, STREAM_TRAIN, 0).drop)
-        ev, _ = drop_ues(cfg, episode_streams(cfg.seed, STREAM_EVAL, 0).drop)
+        train, _ = drop_ues(cfg, [episode_streams(cfg.seed, STREAM_TRAIN, 0).drop])
+        ev, _ = drop_ues(cfg, [episode_streams(cfg.seed, STREAM_EVAL, 0).drop])
         assert not np.array_equal(train.distance_m, ev.distance_m)
 
     def test_evaluation_and_baselines_share_their_drops(self, tmp_path):
@@ -346,7 +356,7 @@ class TestLaneGroups:
         cell, fading = drop_ues(cfg, [s.drop for s in streams])
         assert len(cell) == len(fading) == 3 * cfg.episode.ues_per_episode
         for k in range(3):
-            alone, alone_fading = drop_ues(cfg, episode_streams(cfg.seed, STREAM_EVAL, k).drop)
+            alone, alone_fading = drop_ues(cfg, [episode_streams(cfg.seed, STREAM_EVAL, k).drop])
             np.testing.assert_array_equal(cell.distance_m[cell.lane(k)], alone.distance_m)
             np.testing.assert_array_equal(cell.path_loss_db[cell.lane(k)], alone.path_loss_db)
             np.testing.assert_array_equal(fading[cell.lane(k)], alone_fading)

@@ -36,15 +36,19 @@ def small_cfg(seed=3, ues=24, slots=40, srs=2, **cell):
 
 
 class KernelCell:
-    """The dropped ``Cell``, stepped by ``simulate_step``."""
+    """The dropped one-lane ``Cell``, stepped by ``simulate_step``; ``step``
+    takes the oracle's scalar arguments and passes them as one-element
+    lists."""
 
     def __init__(self, cell):
         self.cell = cell
 
-    def step(self, *args, **kwargs):
+    def step(self, fading, zeta, xi, cfg, streams, *, episode, **kwargs):
         cell = self.cell
         kept = cell.trajectory, cell.fading_noise
-        [report], fading = simulate_step(cell, *args, **kwargs)
+        [report], fading = simulate_step(
+            cell, fading, [zeta], [xi], cfg, [streams], episode=[episode], **kwargs
+        )
         # every step evolves its trajectory in the cell's kept buffers and
         # returns a copy of the last state, not a view into them
         assert cell.trajectory is kept[0] and cell.fading_noise is kept[1]
@@ -99,7 +103,7 @@ def run_steps(adapter, cfg, thresholds, fixed=None):
     (``KernelCell`` or ``OracleCell``); returns everything the step
     produces or touches."""
     streams = episode_streams(cfg.seed, STREAM_TRAIN, 0)
-    cell, fading = drop_ues(cfg, streams.drop)
+    cell, fading = drop_ues(cfg, [streams.drop])
     if fixed is not None:
         cell.is_df[:] = fixed == DFT_S_OFDM
     sim = adapter(cell)
@@ -269,7 +273,7 @@ def lane_steps(cfg, episodes, thresholds, fixed=None):
 def alone_steps(cfg, episode, thresholds, fixed=None):
     """One episode in a cell of its own, as ``KernelCell`` steps it."""
     streams = episode_streams(cfg.seed, STREAM_EVAL, episode)
-    cell, fading = drop_ues(cfg, streams.drop)
+    cell, fading = drop_ues(cfg, [streams.drop])
     if fixed is not None:
         cell.is_df[:] = fixed == DFT_S_OFDM
     sim = KernelCell(cell)
@@ -356,5 +360,24 @@ class TestLanesMatchSeparateCells:
         cfg = small_cfg(seed=25)
         streams = [episode_streams(cfg.seed, STREAM_EVAL, e) for e in range(2)]
         cell, fading = drop_ues(cfg, [s.drop for s in streams])
-        with pytest.raises(ValueError):
-            simulate_step(cell, fading, 0.0, 5.0, cfg, streams[0])
+        with pytest.raises(ValueError, match="1 streams"):
+            simulate_step(cell, fading, [0.0] * 2, [5.0] * 2, cfg, streams[:1],
+                          events=[], episode=[0, 1])
+
+    @pytest.mark.parametrize("arg", ["zeta_db", "xi_db", "episode"])
+    def test_per_lane_argument_of_the_wrong_length_rejected(self, arg):
+        # one entry too many or too few is refused before the step draws
+        # or writes anything
+        cfg = small_cfg(seed=25)
+        streams = [episode_streams(cfg.seed, STREAM_EVAL, e) for e in range(2)]
+        cell, fading = drop_ues(cfg, [s.drop for s in streams])
+        states = [s.fading.bit_generator.state for s in streams]
+        for wrong in (1, 3):
+            args = dict(zeta_db=[0.0] * 2, xi_db=[5.0] * 2, episode=[0, 1])
+            args[arg] = args[arg][:1] * wrong
+            events = []
+            with pytest.raises(ValueError, match=f"{wrong} {arg} for a cell of 2 lanes"):
+                simulate_step(cell, fading, args["zeta_db"], args["xi_db"], cfg, streams,
+                              events=events, episode=args["episode"])
+            assert not events and not cell.is_df.any()
+        assert [s.fading.bit_generator.state for s in streams] == states
