@@ -28,25 +28,34 @@ at paper size) at the default thresholds, as the lanes of one cell. They
 give the time per episode-step and the minor page faults per step of all L
 episodes.
 
-The PAPR figures time one ``papr_ensemble`` call per waveform and
-modulation at 10,000 blocks, on the seed's ``dpwsim papr`` stream. They are
-wall times (``time.perf_counter``): the ensemble may fill its block ranges
-on several threads, whose CPU times ``process_time`` would add up. The
-machine record gives the usable core count. No benchmark gate reads this
-file's output.
+The PAPR figures time the whole four-ensemble ``dpwsim papr`` table at
+10,000 blocks, through each variant's own ``cli.main``, so a variant that
+shares one symbol draw between the waveforms is timed on the same work as
+one that draws per waveform. They are wall times (``time.perf_counter``):
+the ensembles may fill their block ranges on several threads, whose CPU
+times ``process_time`` would add up. After the timed repeats, each variant
+builds the table a few more times under ``tracemalloc``, which slows every
+allocation and so is kept out of the timed runs; the result gives each of
+those runs' traced peak, and whether every variant wrote the same
+``papr.csv`` bytes. The machine record gives the usable core count. No
+benchmark gate reads this file's output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +63,9 @@ import numpy as np
 SIZES = ("ci", "desk", "paper")
 LAYERS = ("evolve_fading", "map_throughput", "_bin_counts", "simulate_step")
 LANES = {"ci": (1, 4, 8), "desk": (1, 4, 8), "paper": (1, 2)}
-PAPR = (("cp-ofdm", "qpsk"), ("cp-ofdm", "16qam"), ("dft-s-ofdm", "qpsk"), ("dft-s-ofdm", "16qam"))
 PAPR_BLOCKS = 10_000
+# tracemalloc runs per variant, after the timed repeats
+PAPR_TRACED = 3
 MODULES = ("config", "kpi", "link_model", "orchestrator", "waveform", "cli")
 
 
@@ -139,18 +149,27 @@ class LaneCase:
 
 
 class PaprCase:
-    """One variant's ``papr_ensemble`` for one waveform and modulation, as
-    ``dpwsim papr`` calls it."""
+    """One variant's ``dpwsim papr`` table at :data:`PAPR_BLOCKS` blocks,
+    through its own ``cli.main``."""
 
-    def __init__(self, pkg, waveform: str, modulation: str, seed: int):
-        self.ensemble = pkg["waveform"].papr_ensemble
-        self.levels = pkg["cli"].PAPR_PERCENTILES
-        self.args = (waveform, modulation, PAPR_BLOCKS)
-        self.seed = np.random.SeedSequence([seed, pkg["orchestrator"].STREAM_PAPR])
+    def __init__(self, pkg, seed: int, out: Path):
+        self.main = pkg["cli"].main
+        self.table = out / "papr.csv"
+        self.argv = ["papr", "--seed", str(seed), "--blocks", str(PAPR_BLOCKS), "--out", str(out)]
 
     def run(self):
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.ensemble(*self.args, self.levels, rng)
+        with contextlib.redirect_stdout(io.StringIO()):
+            if self.main(self.argv) != 0:
+                raise RuntimeError(f"dpwsim {' '.join(self.argv)} exited non-zero")
+
+    def traced_peak(self) -> int:
+        """The tracemalloc peak in bytes of one table."""
+        tracemalloc.start()
+        try:
+            self.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def wall_time(fn) -> float:
@@ -196,8 +215,9 @@ def main(argv=None) -> int:
     cases = {(v, size): Case(pkg, size, args.seed) for v, pkg in variants.items() for size in SIZES}
     lane_cases = {(v, size, lanes): LaneCase(pkg, size, args.seed, lanes)
                   for v, pkg in variants.items() for size in SIZES for lanes in LANES[size]}
-    papr_cases = {(v, wf, mod): PaprCase(pkg, wf, mod, args.seed)
-                  for v, pkg in variants.items() for wf, mod in PAPR}
+    tables = tempfile.TemporaryDirectory()
+    papr_cases = {v: PaprCase(pkg, args.seed, Path(tables.name) / v)
+                  for v, pkg in variants.items()}
     # calls per sample: enough that a sample is a few milliseconds at ci size
     calls = {"ci": 8, "desk": 3, "paper": 1}
 
@@ -206,7 +226,7 @@ def main(argv=None) -> int:
     faults = {(v, s): [] for v in names for s in SIZES}
     lane_seconds = {key: [] for key in lane_cases}
     lane_faults = {key: [] for key in lane_cases}
-    papr_seconds = {key: [] for key in papr_cases}
+    papr_seconds = {v: [] for v in names}
     for case in cases.values():  # warm-up
         for layer in LAYERS:
             getattr(case, layer)()
@@ -228,9 +248,12 @@ def main(argv=None) -> int:
                     dt, flt = timed(lane_cases[v, size, lanes].step, max(1, calls[size] // lanes))
                     lane_seconds[v, size, lanes].append(dt / lanes)
                     lane_faults[v, size, lanes].append(flt)
-        for wf, mod in PAPR:
-            for v in order:
-                papr_seconds[v, wf, mod].append(wall_time(papr_cases[v, wf, mod].run))
+        for v in order:
+            papr_seconds[v].append(wall_time(papr_cases[v].run))
+    papr_peaks = {v: [case.traced_peak() for _ in range(PAPR_TRACED)]
+                  for v, case in papr_cases.items()}
+    papr_tables = {case.table.read_bytes() for case in papr_cases.values()}
+    tables.cleanup()
 
     results = {}
     for size in SIZES:
@@ -254,13 +277,11 @@ def main(argv=None) -> int:
                 entry[v]["median_over_first"] = entry[v]["median"] / entry[names[0]]["median"]
                 entry[v]["minor_faults_per_call"] = statistics.median(lane_faults[v, size, lanes])
             lane_results[size][str(lanes)] = entry
-    papr_results = {}
-    for wf, mod in PAPR:
-        entry = {v: {k: x * 1e3 for k, x in summary(papr_seconds[v, wf, mod]).items()}
-                 for v in names}
-        for v in names:
-            entry[v]["median_over_first"] = entry[v]["median"] / entry[names[0]]["median"]
-        papr_results.setdefault(wf, {})[mod] = entry
+    papr_results = {v: {k: x * 1e3 for k, x in summary(papr_seconds[v]).items()} for v in names}
+    for v in names:
+        entry = papr_results[v]
+        entry["median_over_first"] = entry["median"] / papr_results[names[0]]["median"]
+        entry["tracemalloc_peak_mb"] = [peak / 2**20 for peak in papr_peaks[v]]
     out = {
         "what": "process_time per call in ms (median and quartiles over the repeats), "
                 "and each median over the first variant's",
@@ -279,10 +300,11 @@ def main(argv=None) -> int:
                       "together (median and quartiles over the repeats), each median over "
                       "the first variant's, and the minor page faults per step of all L",
         "lanes": lane_results,
-        "papr_what": f"papr_ensemble wall time in ms per call at {PAPR_BLOCKS} blocks "
-                     "(median and quartiles over the repeats), and each median over the "
-                     "first variant's",
+        "papr_what": f"wall time in ms of the whole dpwsim papr table at {PAPR_BLOCKS} blocks "
+                     "(median and quartiles over the repeats), each median over the first "
+                     f"variant's, and the tracemalloc peak in MB of {PAPR_TRACED} more tables",
         "papr": papr_results,
+        "papr_same_bytes": len(papr_tables) == 1,
     }
     text = json.dumps(out, indent=2) + "\n"
     if args.out is not None:

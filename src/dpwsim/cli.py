@@ -83,19 +83,22 @@ def cmd_papr(args) -> int:
     outdir = _out_dir(args, f"papr-s{cfg.seed}")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "papr.csv"
-    rows = []
-    for waveform in (CP_OFDM, DFT_S_OFDM):
-        for modulation in ("qpsk", "16qam"):
-            # same symbol stream for both waveforms: paired comparison
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_PAPR]))
-            )
-            paprs = papr_ensemble(
-                waveform, modulation, args.blocks, PAPR_PERCENTILES, rng,
-                oversample=args.oversample,
-            )
-            for pct, papr in zip(PAPR_PERCENTILES, paprs):
-                rows.append((waveform, modulation, pct * 100.0, papr))
+    waveforms, modulations = (CP_OFDM, DFT_S_OFDM), ("qpsk", "16qam")
+    paprs = {}
+    for modulation in modulations:
+        # one symbol draw for both waveforms: a paired comparison
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([cfg.seed, STREAM_PAPR]))
+        )
+        paprs[modulation] = papr_ensemble(
+            waveforms, modulation, args.blocks, PAPR_PERCENTILES, rng, oversample=args.oversample
+        )
+    rows = [
+        (waveform, modulation, pct * 100.0, papr)
+        for w, waveform in enumerate(waveforms)
+        for modulation in modulations
+        for pct, papr in zip(PAPR_PERCENTILES, paprs[modulation][w])
+    ]
     _write_csv(path, ["waveform", "modulation", "percentile", "papr_db"], rows)
     print(f"PAPR table written to {path}")
     return EXIT_OK

@@ -18,8 +18,16 @@ Conventions used throughout:
   transform chunks of :data:`PAPR_CHUNK_BLOCKS` symbols at a time.
 - :func:`measure_papr` and :func:`papr_ensemble` take one percentile or a
   sequence of them; a sequence shares one power, mean and quantile pass
-  over the signal. The ensemble keeps only the envelope power, 8 bytes a
-  sample, and never holds its complex signal.
+  over the signal.
+- The ensemble holds no ensemble-sized array. Each chunk's envelope power
+  is reduced as it is made: into the sums of the nodes of numpy's
+  pairwise-sum tree that lie inside the chunk, which rebuild the mean bit
+  for bit, and into the chunk's upper tail, ``1.5 (1 - q)`` of its samples
+  for a lowest level q, whose largest cut bounds every dropped sample.
+  When the kept tails cannot prove the lowest order statistic, the
+  ensemble is drawn again keeping every sample. At q = 0.9 it holds 0.15
+  of the old power buffer per waveform. Several waveforms can share one
+  symbol draw, each with a result equal to a call of its own.
 - Symbol indices are read from the generator's raw 64-bit words: each
   index is the top two bits of one 32-bit half, low half first, which is
   what ``Generator.integers(0, 4)`` draws (4 divides 2**32, so its bounded
@@ -34,7 +42,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import bisect
 import copy
+import itertools
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -50,9 +61,9 @@ _QAM16 = np.empty(16, dtype=complex)
 _QAM16.real = np.repeat(_QAM16_LEVELS, 4)
 _QAM16.imag = np.tile(_QAM16_LEVELS, 4)
 
-# Symbols the PAPR ensemble generates per transform call: large enough that
-# per-call overhead vanishes, small enough that the chunk's temporaries stay
-# far below the size of the ensemble's envelope power.
+# Symbols the PAPR ensemble has in flight, over all its block ranges: large
+# enough that per-call overhead vanishes, small enough that the chunks'
+# temporaries stay a few megabytes.
 PAPR_CHUNK_BLOCKS = 256
 
 
@@ -210,22 +221,51 @@ def _levels(percentile) -> np.ndarray:
     return levels
 
 
+def _ranks(n: int, levels: np.ndarray) -> np.ndarray:
+    """numpy's inverted-CDF indices of ``levels`` in ``n`` sorted samples."""
+    return np.maximum(np.ceil(n * levels - 1.0), 0.0).astype(np.intp)
+
+
+def _order_statistics(x: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The values at the 0-based ``ranks`` of the sorted 1-D ``x``, in the
+    shape of ``ranks``; partitions ``x`` in place.
+
+    The values are exact order statistics, selected one rank at a time from
+    the lowest: each partition covers only the samples above the rank
+    before, which stays in place. A 90 % level leaves a tenth of the array
+    for the higher ranks. numpy's one multi-rank partition takes several
+    times as long over the same samples.
+    """
+    done = 0
+    for rank in np.unique(ranks).tolist():
+        x[done:].partition(rank - done)
+        done = rank + 1
+    return x[ranks]
+
+
 def _inverted_cdf_quantile(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """``np.quantile(x, levels, method="inverted_cdf")`` of the finite 1-D
-    ``x``, in the shape of ``levels``; partitions ``x`` in place.
+    ``x``, in the shape of ``levels``; partitions ``x`` in place."""
+    return _order_statistics(x, _ranks(x.size, levels))
 
-    The ranks are numpy's inverted-CDF indices, and the values exact order
-    statistics, selected in two stages: one partition of the whole array at
-    the lowest rank, then one of the tail above it at the rest. A 90 % level
-    makes that tail a tenth of the array, where numpy's one multi-rank
-    partition selects each rank, and the last element, over nearly all of it.
-    """
-    ranks = np.maximum(np.ceil(x.size * levels - 1.0), 0.0).astype(np.intp)
-    low = int(ranks.min())
-    x.partition(low)
-    tail = x[low:]
-    tail.partition((ranks - low).reshape(-1))
-    return tail[ranks - low]
+
+def _checked_mean(mean: np.float64) -> np.float64:
+    """The mean envelope power, refused when no PAPR follows from it."""
+    # power is non-negative, so a NaN or infinite sample makes the mean
+    # non-finite too
+    if not np.isfinite(mean):
+        raise ValueError("signal has non-finite samples")
+    if mean == 0.0:
+        raise ValueError("all-zero signal has no defined PAPR")
+    return mean
+
+
+def _db(peaks: np.ndarray, mean: np.float64, levels: np.ndarray) -> float | list[float]:
+    """The order statistics ``peaks`` over ``mean`` in dB, one float for a
+    single level and a list for a sequence."""
+    if levels.ndim == 0:
+        return float(10.0 * np.log10(peaks / mean))
+    return [float(10.0 * np.log10(peak / mean)) for peak in peaks]
 
 
 def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
@@ -234,17 +274,8 @@ def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
     first, and a copy would double the memory of the largest array here."""
     if power.size == 0:
         raise ValueError("empty signal")
-    mean = power.mean()
-    # power is non-negative, so a NaN or infinite sample makes the mean
-    # non-finite too
-    if not np.isfinite(mean):
-        raise ValueError("signal has non-finite samples")
-    if mean == 0.0:
-        raise ValueError("all-zero signal has no defined PAPR")
-    peaks = _inverted_cdf_quantile(power, levels)
-    if levels.ndim == 0:
-        return float(10.0 * np.log10(peaks / mean))
-    return [float(10.0 * np.log10(peak / mean)) for peak in peaks]
+    mean = _checked_mean(power.mean())
+    return _db(_inverted_cdf_quantile(power, levels), mean, levels)
 
 
 def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
@@ -272,7 +303,7 @@ _SYMBOL_DRAWS = {"qpsk": (qpsk_symbols, 1), "16qam": (qam16_symbols, 2)}
 
 
 def _ensemble_grid(
-    waveform: str,
+    waveforms: tuple[str, ...],
     modulation: str,
     n_blocks: int,
     rng: np.random.Generator,
@@ -282,8 +313,11 @@ def _ensemble_grid(
 ) -> OfdmGrid:
     """The grid of an ensemble's symbols, once its arguments are checked:
     a refused ensemble draws nothing and leaves ``rng`` as it was."""
-    if waveform not in ("cp-ofdm", "dft-s-ofdm"):
-        raise ValueError(f"unknown waveform {waveform!r}")
+    if not waveforms:
+        raise ValueError("need at least one waveform")
+    for waveform in waveforms:
+        if waveform not in ("cp-ofdm", "dft-s-ofdm"):
+            raise ValueError(f"unknown waveform {waveform!r}")
     if modulation not in _SYMBOL_DRAWS:
         raise ValueError(f"unknown modulation {modulation!r}")
     if n_blocks < 1:
@@ -295,6 +329,23 @@ def _ensemble_grid(
         offset=0,
         n_tx=1,
     )
+
+
+def _symbol_chunks(
+    modulation: str, n_blocks: int, rng: np.random.Generator, n_data: int, chunk_blocks: int
+) -> Iterator[np.ndarray]:
+    """The data blocks of ``n_blocks`` symbols, ``(rows, n_data)`` arrays of
+    at most ``chunk_blocks`` rows each, drawn from ``rng`` in turn."""
+    draw = _SYMBOL_DRAWS[modulation][0]
+    for start in range(0, n_blocks, chunk_blocks):
+        yield draw((min(chunk_blocks, n_blocks - start), n_data), rng)
+
+
+def _signal(waveform: str, d: np.ndarray, grid: OfdmGrid) -> np.ndarray:
+    """The ``(rows, N)`` single-port time signals of the data blocks ``d``."""
+    if waveform == "cp-ofdm":
+        return generate_cp_ofdm(d, np.ones(1), grid)[..., 0]
+    return generate_dft_s_ofdm(d, grid)
 
 
 def papr_ensemble_signal(
@@ -321,16 +372,11 @@ def papr_ensemble_signal(
     PCG64DXSM is refused at the first chunk, before anything is drawn, and
     so is a ``chunk_blocks`` below 1.
     """
-    grid = _ensemble_grid(waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    grid = _ensemble_grid((waveform,), modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
     if chunk_blocks < 1:
         raise ValueError(f"need at least one block per chunk, got {chunk_blocks}")
-    draw = _SYMBOL_DRAWS[modulation][0]
-    for start in range(0, n_blocks, chunk_blocks):
-        d = draw((min(chunk_blocks, n_blocks - start), n_data), rng)
-        if waveform == "cp-ofdm":
-            yield generate_cp_ofdm(d, np.ones(1), grid)[..., 0]
-        else:
-            yield generate_dft_s_ofdm(d, grid)
+    for d in _symbol_chunks(modulation, n_blocks, rng, n_data, chunk_blocks):
+        yield _signal(waveform, d, grid)
 
 
 def _usable_cores() -> int:
@@ -362,55 +408,171 @@ def _generator_at(rng: np.random.Generator, draws: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def papr_ensemble(
-    waveform: str,
+# numpy sums a contiguous float64 array pairwise: a run of more than
+# _PAIRWISE_LEAF samples splits after half its length, rounded down to a
+# multiple of 8, and each part is summed the same way; a shorter run is a
+# leaf, summed in one loop. The tree depends only on the length, so a node's
+# sum is np.add.reduce of its samples, and the sum of the whole is its
+# nodes' sums added in tree order.
+_PAIRWISE_LEAF = 128
+
+# each chunk keeps its top _TAIL_MARGIN * (1 - q) share of samples as tail
+# candidates, q the lowest level asked for
+_TAIL_MARGIN = 1.5
+
+
+class _ChunkPlan:
+    """Where chunks of a stream of samples meet numpy's pairwise-sum tree
+    over the whole stream, and where they put their tail candidates.
+
+    ``edges`` are the chunks' first samples, increasing from 0, then the
+    stream's length. For chunk j, ``nodes[j]`` lists the largest tree nodes
+    inside it as ``(slot, lo, hi)``, ``lo:hi`` in the chunk's own indices,
+    and ``pieces[j]`` the parts of leaves that a chunk edge cuts as ``(leaf,
+    at, lo, hi)``, ``at`` the part's place in its leaf. Each leaf that an
+    edge cuts takes a slot too; ``program`` adds the slots' sums in tree
+    order. Chunk j keeps ``keep[j]`` candidates, at ``offsets[j]``.
+    """
+
+    def __init__(self, edges: list[int], keep_fraction: float):
+        self.edges = edges
+        self.nodes = [[] for _ in edges[1:]]
+        self.pieces = [[] for _ in edges[1:]]
+        self.cut_leaves: list[tuple[int, int]] = []  # (slot, size) of each cut leaf
+        # post-order: a slot pushes its sum, -1 adds the top two sums
+        self.program: list[int] = []
+        self.slots = 0
+        self._split(0, edges[-1])
+        self.keep = [min(n, math.ceil(keep_fraction * n)) for n in np.diff(edges).tolist()]
+        self.offsets = list(itertools.accumulate(self.keep, initial=0))
+
+    def _split(self, start: int, stop: int) -> None:
+        edges = self.edges
+        j = bisect.bisect_right(edges, start) - 1
+        slot = self.slots
+        if stop <= edges[j + 1]:
+            self.nodes[j].append((slot, start - edges[j], stop - edges[j]))
+        elif stop - start <= _PAIRWISE_LEAF:
+            leaf = len(self.cut_leaves)
+            self.cut_leaves.append((slot, stop - start))
+            while edges[j] < stop:
+                lo, hi = max(start, edges[j]), min(stop, edges[j + 1])
+                self.pieces[j].append((leaf, lo - start, lo - edges[j], hi - edges[j]))
+                j += 1
+        else:
+            half = (stop - start) // 2
+            half -= half % 8
+            self._split(start, start + half)
+            self._split(start + half, stop)
+            self.program.append(-1)
+            return
+        self.program.append(slot)
+        self.slots += 1
+
+    def total(self, sums: list[float]) -> float:
+        """The pairwise sum of the stream, from its slots' sums."""
+        stack = []
+        for op in self.program:
+            if op < 0:
+                right = stack.pop()
+                stack[-1] += right
+            else:
+                stack.append(sums[op])
+        return stack[0]
+
+
+class _EnvelopeStream:
+    """One waveform's envelope power, reduced chunk by chunk as the chunks
+    arrive, in any order: the node sums of its exact mean, and the upper
+    tail of each chunk as candidates for its order statistics."""
+
+    def __init__(self, plan: _ChunkPlan):
+        self.plan = plan
+        self.sums = np.empty(plan.slots)
+        self.leaves = np.empty((len(plan.cut_leaves), _PAIRWISE_LEAF))
+        self.candidates = np.empty(plan.offsets[-1])
+        # the largest sample a chunk dropped is at most its cut
+        self.cuts = np.full(len(plan.keep), -np.inf)
+
+    def add(self, j: int, power: np.ndarray) -> None:
+        """Reduce chunk j, the 1-D power of samples ``edges[j]:edges[j+1]``;
+        partitions ``power`` in place."""
+        plan = self.plan
+        for slot, lo, hi in plan.nodes[j]:
+            self.sums[slot] = np.add.reduce(power[lo:hi])
+        for leaf, at, lo, hi in plan.pieces[j]:
+            self.leaves[leaf, at : at + hi - lo] = power[lo:hi]
+        cut = power.size - plan.keep[j]
+        if cut:
+            power.partition(cut)
+            self.cuts[j] = power[cut]
+        self.candidates[plan.offsets[j] : plan.offsets[j + 1]] = power[cut:]
+
+    def sum(self) -> float:
+        """The stream's sum, equal to ``np.add.reduce`` of the joined power."""
+        for leaf, (slot, size) in enumerate(self.plan.cut_leaves):
+            self.sums[slot] = np.add.reduce(self.leaves[leaf, :size])
+        return self.plan.total(self.sums.tolist())
+
+    def mean(self) -> np.float64:
+        """The stream's mean, equal to ``mean`` of the joined power."""
+        return np.float64(self.sum() / self.plan.edges[-1])
+
+    def order_statistics(self, ranks: np.ndarray) -> np.ndarray | None:
+        """The samples at ``ranks`` of the whole sorted stream, or None when
+        a dropped sample might sit at or above the lowest rank.
+
+        Every dropped sample is at most T, the largest cut. If at least n -
+        r of the candidates are at least T, r the lowest rank, then no
+        dropped sample lies above rank r, and rank r' of the stream is rank
+        r' - D of the candidates, D the number dropped. Partitions the
+        candidates in place."""
+        n = self.plan.edges[-1]
+        dropped = n - self.candidates.size
+        low = int(ranks.min())
+        if dropped and np.count_nonzero(self.candidates >= self.cuts.max()) < n - low:
+            return None
+        return _order_statistics(self.candidates, ranks - dropped)
+
+
+def _stream_ensemble(
+    waveforms: tuple[str, ...],
     modulation: str,
     n_blocks: int,
-    percentile,
     rng: np.random.Generator,
-    n_subcarriers: int = 256,
-    n_data: int = 240,
-    oversample: int = 1,
-) -> float | list[float]:
-    """Ensemble PAPR of :func:`papr_ensemble_signal` at one level or a
-    sequence of levels, as :func:`measure_papr` gives it.
-
-    Each chunk is reduced to its envelope power as it comes, so only one
-    ``(n_blocks, N)`` float buffer is held, never the complex ensemble. The
-    result equals ``measure_papr`` of the concatenated chunks bit for bit:
-    ``abs`` and ``square`` work element by element, and the mean and the
-    quantile run over the same contiguous 1-D array.
-
-    The blocks are split into W contiguous ranges, W the smallest of the
-    usable cores, the ensemble's :data:`PAPR_CHUNK_BLOCKS` chunks and 4.
-    Range 0 draws from ``rng`` on the calling thread, each other range on a
-    thread of its own from a copy of ``rng`` advanced to the range's first
-    symbol draw; each writes only its own rows of the buffer, in chunks of
-    ``PAPR_CHUNK_BLOCKS // W`` blocks, so at most ``PAPR_CHUNK_BLOCKS``
-    blocks are in flight. ``rng`` ends where the serial draw leaves it, and
-    the result does not depend on W. Arguments are checked, as in
-    :func:`papr_ensemble_signal`, before any draw or thread starts.
-    """
-    levels = _levels(percentile)
-    grid = _ensemble_grid(waveform, modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    grid: OfdmGrid,
+    keep_fraction: float,
+) -> list[_EnvelopeStream]:
+    """Draw the ensemble in block ranges and reduce each waveform's chunks
+    into an :class:`_EnvelopeStream`; see :func:`papr_ensemble`."""
+    width, n_data = grid.n_subcarriers, grid.dft_size
     chunks = -(-n_blocks // PAPR_CHUNK_BLOCKS)
     # at most 4 ranges, so that a range's chunks keep at least 64 blocks
     n_ranges = min(_usable_cores(), chunks, PAPR_CHUNK_BLOCKS // 64)
+    step = PAPR_CHUNK_BLOCKS // n_ranges
     bounds = [n_blocks * i // n_ranges for i in range(n_ranges + 1)]
+    starts = [list(range(bounds[i], bounds[i + 1], step)) for i in range(n_ranges)]
+    first = list(itertools.accumulate(map(len, starts), initial=0))
+    plan = _ChunkPlan([b * width for b in itertools.chain(*starts, [n_blocks])], keep_fraction)
+    streams = [_EnvelopeStream(plan) for _ in waveforms]
     draws_per_block = n_data * _SYMBOL_DRAWS[modulation][1]
     rngs = [rng] + [_generator_at(rng, b * draws_per_block) for b in bounds[1:-1]]
-    power = np.empty((n_blocks, grid.n_subcarriers))
+    # each range's power buffer, allocated here: the range threads' malloc
+    # arenas would keep what they allocate
+    power = np.empty((n_ranges, step * width))
 
     def fill(i: int) -> None:
-        start = bounds[i]
-        for chunk in papr_ensemble_signal(
-            waveform, modulation, bounds[i + 1] - start, rngs[i], n_subcarriers, n_data,
-            oversample, chunk_blocks=PAPR_CHUNK_BLOCKS // n_ranges,
+        j = first[i]
+        for d in _symbol_chunks(
+            modulation, bounds[i + 1] - bounds[i], rngs[i], n_data, chunk_blocks=step
         ):
-            rows = power[start : start + len(chunk)]
-            np.abs(chunk, out=rows)
-            np.square(rows, out=rows)
-            start += len(chunk)
+            chunk = power[i, : len(d) * width]
+            # one waveform's signal at a time, each gone once reduced
+            for stream, waveform in zip(streams, waveforms):
+                np.abs(_signal(waveform, d, grid).reshape(-1), out=chunk)
+                np.square(chunk, out=chunk)
+                stream.add(j, chunk)
+            j += 1
 
     if n_ranges == 1:
         fill(0)
@@ -423,4 +585,81 @@ def papr_ensemble(
             for done in others:
                 done.result()
         rng.bit_generator.state = rngs[-1].bit_generator.state
-    return _papr_db(power.reshape(-1), levels)
+    return streams
+
+
+def _stream_paprs(streams: list[_EnvelopeStream], levels: np.ndarray) -> list | None:
+    """Each stream's PAPR in dB at ``levels``, or None when a stream's
+    dropped samples leave its order statistics open."""
+    means = [_checked_mean(stream.mean()) for stream in streams]
+    ranks = _ranks(streams[0].plan.edges[-1], levels)
+    paprs = []
+    for stream, mean in zip(streams, means):
+        peaks = stream.order_statistics(ranks)
+        if peaks is None:
+            return None
+        paprs.append(_db(peaks, mean, levels))
+    return paprs
+
+
+def papr_ensemble(
+    waveform,
+    modulation: str,
+    n_blocks: int,
+    percentile,
+    rng: np.random.Generator,
+    n_subcarriers: int = 256,
+    n_data: int = 240,
+    oversample: int = 1,
+) -> float | list:
+    """Ensemble PAPR of :func:`papr_ensemble_signal` at one level or a
+    sequence of levels, as :func:`measure_papr` gives it.
+
+    ``waveform`` is one waveform, or a sequence of them that share one
+    symbol draw; a sequence gives a list of results, one per waveform in
+    that order, each equal to the single-waveform call from the same
+    generator state. ``rng`` ends as one such call leaves it.
+
+    The result equals ``measure_papr`` of the concatenated chunks bit for
+    bit, yet no ensemble-sized array is held. Each chunk is reduced to its
+    envelope power as it comes, into two results per waveform:
+
+    - The mean: numpy's pairwise sum over the whole power splits at places
+      that depend only on its length. The chunk sums each tree node that
+      lies inside it; a leaf of at most 128 samples that a chunk edge cuts
+      is copied aside and summed once complete. The node sums, added in
+      tree order, give the mean's exact bits.
+    - The tail: the chunk keeps its top ``ceil(1.5 (1 - q) n)`` samples
+      (q the lowest level, n the chunk's samples) as candidates, found by
+      one partition, and the smallest kept value as its cut. If at least as
+      many candidates reach the largest cut as there are samples at or
+      above the lowest rank, the order statistics are the candidates' ones,
+      shifted by the number dropped. Otherwise the ensemble is drawn again
+      from ``rng``'s starting state, keeping every sample, with the same
+      result; only chunks whose power levels differ widely lead there.
+
+    So the memory is about ``1.5 (1 - q)`` of an envelope-power buffer per
+    waveform (0.15 of 8 bytes a sample at q = 0.9), plus a chunk buffer per
+    block range.
+
+    The blocks are split into W contiguous ranges, W the smallest of the
+    usable cores, the ensemble's :data:`PAPR_CHUNK_BLOCKS` chunks and 4.
+    Range 0 draws from ``rng`` on the calling thread, each other range on a
+    thread of its own from a copy of ``rng`` advanced to the range's first
+    symbol draw; each reduces its chunks of ``PAPR_CHUNK_BLOCKS // W``
+    blocks, so at most ``PAPR_CHUNK_BLOCKS`` blocks are in flight. ``rng``
+    ends where the serial draw leaves it, and the result does not depend on
+    W. Arguments are checked, as in :func:`papr_ensemble_signal`, before
+    any draw or thread starts.
+    """
+    levels = _levels(percentile)
+    waveforms = (waveform,) if isinstance(waveform, str) else tuple(waveform)
+    grid = _ensemble_grid(waveforms, modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    args = (waveforms, modulation, n_blocks, rng, grid)
+    start = rng.bit_generator.state
+    keep = min(1.0, _TAIL_MARGIN * (1.0 - float(levels.min())))
+    paprs = _stream_paprs(_stream_ensemble(*args, keep), levels)
+    if paprs is None:
+        rng.bit_generator.state = start
+        paprs = _stream_paprs(_stream_ensemble(*args, 1.0), levels)
+    return paprs[0] if isinstance(waveform, str) else paprs

@@ -4,7 +4,11 @@ ranges; the raw-word symbol draws against ``Generator.integers``; the block
 axis of both generators, the percentile sequence of ``measure_papr``, and its
 quantile selection against numpy's."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,10 @@ from dpwsim.orchestrator import STREAM_PAPR
 from dpwsim.waveform import (
     PAPR_CHUNK_BLOCKS,
     OfdmGrid,
+    _ChunkPlan,
+    _EnvelopeStream,
     _inverted_cdf_quantile,
+    _ranks,
     generate_cp_ofdm,
     generate_dft_s_ofdm,
     measure_papr,
@@ -90,9 +97,9 @@ def test_ensemble_papr_matches_oracle(waveform, modulation, oversample, n_blocks
 
 @pytest.mark.parametrize("waveform", ["cp-ofdm", "dft-s-ofdm"])
 def test_ensemble_peak_memory_stays_near_its_power_buffer(waveform, ranges):
-    # the envelope power is the one ensemble-sized array; the complex signal
-    # (twice its size) and its copies must never be held at once, and the
-    # block ranges together keep no more blocks in flight than one range
+    # no ensemble-sized array is held: the tail candidates are 0.15 of the
+    # envelope power at a lowest level of 0.9, and the block ranges together
+    # keep no more blocks in flight than one range
     n_blocks = 8192
     power_bytes = n_blocks * 256 * 8
     for cores in (1, 2, 4):
@@ -103,7 +110,209 @@ def test_ensemble_peak_memory_stays_near_its_power_buffer(waveform, ranges):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * power_bytes, cores
+        assert peak < 0.5 * power_bytes, cores
+
+
+def test_table_rss_growth_stays_below_the_old_power_buffer():
+    # tracemalloc cannot see what the range threads' malloc arenas keep, so
+    # a fresh process measures its resident peak: a 20,000-block table may
+    # not grow it by the 41 MB of one ensemble's envelope power. The peak is
+    # VmHWM, the ru_maxrss of this process alone: Linux carries the peak of
+    # the forking process (here pytest) into ru_maxrss across exec
+    status = Path("/proc/self/status")
+    if not status.is_file():
+        pytest.skip("needs Linux's /proc/self/status")
+    script = """
+import contextlib, io, tempfile
+from pathlib import Path
+from dpwsim.cli import main
+
+def peak():
+    status = Path("/proc/self/status").read_text().splitlines()
+    return int(next(l for l in status if l.startswith("VmHWM:")).split()[1]) * 1024
+
+out = tempfile.mkdtemp()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["papr", "--blocks", "1", "--out", out]) == 0
+    before = peak()
+    assert main(["papr", "--blocks", "20000", "--out", out]) == 0
+print(peak() - before)
+"""
+    src = str(Path(waveform_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 20_000 * 256 * 8
+
+
+def _streamed(x, cuts, keep_fraction, order=None):
+    """``x`` reduced by an :class:`_EnvelopeStream` in the chunks that
+    ``cuts`` mark, fed in ``order`` (chunk indices; in turn by default)."""
+    edges = [0, *cuts, x.size]
+    stream = _EnvelopeStream(_ChunkPlan(edges, keep_fraction))
+    for j in range(len(edges) - 1) if order is None else order:
+        stream.add(j, x[edges[j] : edges[j + 1]].copy())
+    return stream
+
+
+@st.composite
+def _cut_stream(draw):
+    """A length, chunk edges and a seed: edges anywhere, plus a cluster of
+    edges closer than 8, which cut one pairwise leaf more than once."""
+    n = draw(st.integers(1, 20_000))
+    cuts = set()
+    if n > 1:
+        cuts |= set(draw(st.lists(st.integers(1, n - 1), max_size=12)))
+        at = draw(st.integers(1, n - 1))
+        for gap in draw(st.lists(st.integers(1, 7), max_size=6)):
+            cuts.add(at)
+            at += gap
+            if at >= n:
+                break
+    return n, sorted(cuts), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cut_stream())
+@example((1, [], 1))
+@example((129, [128], 2))
+@example((1000, [100, 101, 300], 3))  # a leaf split twice, one piece a single sample
+@example((20_000, list(range(1, 21)), 4))
+@example((20_000, [10_000, 10_001, 10_008, 19_999], 5))
+def test_streamed_pairwise_sum_equals_numpy(case):
+    # numpy's pairwise tree depends only on the length, so the node sums
+    # inside each chunk, added in tree order, keep the whole sum's bits;
+    # values over twelve decades make any other order round differently
+    n, cuts, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+    order = rng.permutation(len(cuts) + 1).tolist()  # chunks arrive in any order
+    stream = _streamed(x, cuts, 1.0, order)
+    assert stream.sum() == np.add.reduce(x)
+    mean = stream.mean()
+    assert type(mean) is np.float64 and mean == x.mean()
+
+
+@st.composite
+def _tail_case(draw):
+    n, cuts, seed = draw(_cut_stream())
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):  # integer values: ties across the ranks and the cuts
+        x = rng.integers(0, draw(st.integers(0, 8)), size=n, endpoint=True).astype(float)
+    else:
+        x = rng.exponential(size=n)
+    # a level k/n puts n*q on an integer, where the rank must not round up
+    level = st.floats(0.01, 0.999) | st.integers(1, max(n - 1, 1)).map(
+        lambda k: k / n if n > 1 else 0.5
+    )
+    return x, cuts, np.array(draw(st.lists(level, min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tail_case())
+@example((np.full(1000, 3.0), [256, 512, 768], np.array([0.9, 0.99, 0.999])))
+@example((np.arange(10.0) % 3, [3, 4], np.array([0.9, 0.5])))
+def test_streamed_tail_equals_numpy_inverted_cdf(case):
+    # a tail the check accepts is exact; keeping every sample never refuses
+    x, cuts, levels = case
+    want = np.quantile(x, levels, method="inverted_cdf")
+    ranks = _ranks(x.size, levels)
+    kept = _streamed(x, cuts, min(1.0, 1.5 * (1.0 - levels.min()))).order_statistics(ranks)
+    if kept is not None:
+        assert kept.tobytes() == want.tobytes()
+    assert _streamed(x, cuts, 1.0).order_statistics(ranks).tobytes() == want.tobytes()
+
+
+def test_streamed_tail_refuses_a_chunk_that_hides_the_tail():
+    # the last tenth of the samples holds the whole upper tail, and keeps
+    # only 15 % of itself, below its cut: the dropped samples could sit
+    # above the 90 % rank, so the check refuses
+    rng = np.random.default_rng(6)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 900), rng.uniform(10.0, 11.0, 100)])
+    ranks = _ranks(x.size, np.array([0.9, 0.99]))
+    assert _streamed(x, [900], 0.15).order_statistics(ranks) is None
+    want = np.quantile(x, [0.9, 0.99], method="inverted_cdf")
+    assert _streamed(x, [900], 1.0).order_statistics(ranks).tobytes() == want.tobytes()
+    # the same samples shuffled spread the tail over both chunks
+    x = rng.permutation(x)
+    assert _streamed(x, [500], 0.15).order_statistics(ranks).tobytes() == want.tobytes()
+    # the bound is tight: two chunks keep 2 of 10 each, and the 90 % rank of
+    # 20 is the third largest, 98, which the second chunk dropped; only two
+    # candidates reach its cut of 99, one short of the three needed
+    x = np.concatenate([np.arange(10.0), np.arange(91.0, 101.0)])
+    ranks = _ranks(x.size, np.array(0.9))
+    assert _streamed(x, [10], 0.15).order_statistics(ranks) is None
+    assert _streamed(x, [10], 1.0).order_statistics(ranks) == 98.0
+
+
+def _spy_keep_fractions(monkeypatch):
+    """Records the keep fraction of every pass over an ensemble."""
+    fractions = []
+    stream = waveform_module._stream_ensemble
+
+    def spy(*args):
+        fractions.append(args[-1])
+        return stream(*args)
+
+    monkeypatch.setattr(waveform_module, "_stream_ensemble", spy)
+    return fractions
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_keep_all_fallback_keeps_the_result(cores, ranges, monkeypatch):
+    # one candidate per chunk cannot hold a tenth of the samples, so the
+    # ensemble is drawn again from the starting state, keeping every sample
+    ranges(cores)
+    fractions = _spy_keep_fractions(monkeypatch)
+    monkeypatch.setattr(waveform_module, "_TAIL_MARGIN", 1e-9)
+    n_blocks, kw = 2 * C + 5, dict(n_subcarriers=64, n_data=47)
+    refs = [_seeded(4006) for _ in range(2)]
+    rng = _seeded(4006)
+    for r in (*refs, rng):
+        r.integers(0, 4, size=1)  # start on a buffered half
+    want = [
+        measure_papr(reference_ensemble_signal(wf, "16qam", n_blocks, ref, **kw), PAPR_PERCENTILES)
+        for wf, ref in zip(("cp-ofdm", "dft-s-ofdm"), refs)
+    ]
+    got = papr_ensemble(("cp-ofdm", "dft-s-ofdm"), "16qam", n_blocks, PAPR_PERCENTILES, rng, **kw)
+    assert got == want
+    assert len(fractions) == 2 and fractions[0] < 1e-9 and fractions[1] == 1.0
+    assert rng.bit_generator.state == refs[0].bit_generator.state == refs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_cli_size_ensembles_keep_only_their_tail(cores, ranges, monkeypatch, tmp_path):
+    # the check accepts the table's ensembles: one pass per modulation, at
+    # 0.15 of the samples
+    ranges(cores)
+    fractions = _spy_keep_fractions(monkeypatch)
+    assert main(["papr", "--seed", "3", "--blocks", "1100", "--out", str(tmp_path)]) == 0
+    assert fractions == [pytest.approx(0.15)] * 2
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam"])
+def test_shared_draw_equals_single_calls(modulation, cores, buffered, ranges):
+    # both waveforms from one symbol draw: each result and the generator's
+    # end state are those of a call of its own from the same start
+    ranges(cores)
+    n_blocks, kw = 4 * C + 3, dict(n_subcarriers=64, n_data=47)
+    rng, *singles = (_seeded(4005) for _ in range(3))
+    if buffered:
+        for r in (rng, *singles):
+            r.integers(0, 4, size=3)
+    waveforms = ("cp-ofdm", "dft-s-ofdm")
+    want = [papr_ensemble(wf, modulation, n_blocks, PAPR_PERCENTILES, r, **kw)
+            for wf, r in zip(waveforms, singles)]
+    assert papr_ensemble(waveforms, modulation, n_blocks, PAPR_PERCENTILES, rng, **kw) == want
+    assert rng.bit_generator.state == singles[0].bit_generator.state
+    assert rng.bit_generator.state == singles[1].bit_generator.state
+    # a one-waveform sequence gives a one-result list
+    assert papr_ensemble(["dft-s-ofdm"], modulation, 10, 0.9, _seeded(1), **kw) == [
+        papr_ensemble("dft-s-ofdm", modulation, 10, 0.9, _seeded(1), **kw)
+    ]
 
 
 @st.composite
@@ -167,7 +376,9 @@ def test_unknown_waveform_rejected():
 
 @pytest.mark.parametrize(
     "waveform, modulation, n_blocks",
-    [("ofdma", "qpsk", 4), ("cp-ofdm", "bpsk", 4), ("cp-ofdm", "qpsk", 0), ("dft-s-ofdm", "16qam", -3)],
+    [("ofdma", "qpsk", 4), ("cp-ofdm", "bpsk", 4), ("cp-ofdm", "qpsk", 0), ("dft-s-ofdm", "16qam", -3),
+     # a sequence of waveforms: empty, one unknown, or an unknown modulation
+     ((), "qpsk", 4), (("cp-ofdm", "ofdma"), "qpsk", 4), (("cp-ofdm", "dft-s-ofdm"), "bpsk", 4)],
 )
 def test_bad_ensemble_rejected_before_any_draw(waveform, modulation, n_blocks):
     rng = _seeded(1)
@@ -263,13 +474,13 @@ def test_ensemble_ranges_match_the_oracle(waveform, modulation, cores, buffered,
 
 def test_ensemble_uses_one_range_per_usable_core_up_to_four(ranges, monkeypatch):
     chunk_sizes = []
-    signal = waveform_module.papr_ensemble_signal
+    chunks = waveform_module._symbol_chunks
 
     def spy(*args, **kwargs):
         chunk_sizes.append(kwargs["chunk_blocks"])
-        return signal(*args, **kwargs)
+        return chunks(*args, **kwargs)
 
-    monkeypatch.setattr(waveform_module, "papr_ensemble_signal", spy)
+    monkeypatch.setattr(waveform_module, "_symbol_chunks", spy)
     for cores, n_blocks, want in [(8, 4 * C, 4), (3, 4 * C, 3), (8, 2 * C + 1, 3), (8, C, 1)]:
         ranges(cores)
         chunk_sizes.clear()
