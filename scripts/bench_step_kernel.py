@@ -39,12 +39,30 @@ allocation and so is kept out of the timed runs; the result gives each of
 those runs' traced peak, and whether every variant wrote the same
 ``papr.csv`` bytes. The machine record gives the usable core count. No
 benchmark gate reads this file's output.
+
+With ``--lane-groups`` the script measures only the lane groups of an
+evaluation (of the hold policy, which keeps the default thresholds) and
+both baselines, at the sizes of the replay benchmark workload (paper
+profile, 2 episodes of 2 steps: two one-episode groups) and at desk size
+(16 episodes of 20 steps in groups of 2-3), three ways: ``serial``, with
+this process's affinity set to one core, so that no lane-group thread
+starts; ``threads``, on every usable core; and ``jobs2``, with ``--jobs 2``
+worker processes. Each run is a fresh interpreter, so that its ``VmHWM``
+(peak resident memory) is its own; the runs interleave over the repeats,
+in an order that alternates between repeats. The result gives each
+run's wall time (median and quartiles), its peak memory, its minor page
+faults per episode-step (``jobs2`` adds the worker processes' faults), and
+whether all runs of a size wrote the same bytes.
+
+    python3 scripts/bench_step_kernel.py --variant now=src --lane-groups \\
+        --repeats 5 --out BENCH_lane_threads.json
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -52,6 +70,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -67,6 +86,9 @@ PAPR_BLOCKS = 10_000
 # tracemalloc runs per variant, after the timed repeats
 PAPR_TRACED = 3
 MODULES = ("config", "kpi", "link_model", "orchestrator", "waveform", "cli")
+# lane-group mode: the profile and episode counts of each size, and the ways
+LANE_GROUP_SIZES = {"replay": ("paper", 2, 2), "desk": ("desk", 16, 20)}
+WAYS = ("serial", "threads", "jobs2")
 
 
 def load_package(name: str, src: Path):
@@ -172,6 +194,86 @@ class PaprCase:
             tracemalloc.stop()
 
 
+def lane_group_run(src: Path, size: str, way: str, seed: int) -> dict:
+    """One evaluation of the hold policy and both baselines at ``size``,
+    run ``way``, in this process."""
+    pkg = load_package("dpwsim_run", src)
+    orch, link = pkg["orchestrator"], pkg["link_model"]
+    profile, episodes, steps = LANE_GROUP_SIZES[size]
+    cfg = pkg["config"].load_config(profile=profile, seed=seed)
+    cfg.episode.eval_episodes, cfg.episode.eval_steps = episodes, steps
+    if way == "serial":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    jobs = 2 if way == "jobs2" else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        # the hold policy: every weight 0, and only the do-nothing action's bias
+        qnet = importlib.import_module("dpwsim_run.agent").QNetwork(
+            np.random.default_rng(0), cfg.agent)
+        for p in qnet.parameters():
+            p[...] = 0.0
+        qnet.b2[4] = 1.0
+        qnet.save(out / "hold.txt")
+        usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        t0 = time.perf_counter()
+        orch.run_evaluation(cfg, out / "eval", out / "hold.txt", jobs=jobs)
+        orch.run_baseline(cfg, out / "cp", link.CP_OFDM, jobs=jobs)
+        orch.run_baseline(cfg, out / "dfts", link.DFT_S_OFDM, jobs=jobs)
+        seconds = time.perf_counter() - t0
+        faults = sum(resource.getrusage(who).ru_minflt - before.ru_minflt for who, before
+                     in zip((resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN), usage))
+        digest = hashlib.sha256()
+        for path in sorted(out.glob("*/*.csv")):
+            digest.update(path.read_bytes())
+    with open("/proc/self/status") as fh:
+        hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    return {"seconds": seconds, "vmhwm_mb": hwm / 1024,
+            "minor_faults_per_step": faults / (3 * episodes * steps),
+            "digest": digest.hexdigest()}
+
+
+def lane_groups_main(variants: dict[str, Path], repeats: int, seed: int) -> dict:
+    """Interleaved fresh-process runs of every variant, size and way."""
+    runs = {(v, size, way): [] for v in variants for size in LANE_GROUP_SIZES for way in WAYS}
+    keys = list(runs)
+    for r in range(repeats):
+        for key in keys if r % 2 == 0 else keys[::-1]:
+            v, size, way = key
+            child = subprocess.run(
+                [sys.executable, __file__, "--lane-group-run", str(variants[v]), size, way,
+                 str(seed)], check=True, capture_output=True, text=True)
+            runs[key].append(json.loads(child.stdout))
+    results = {}
+    for size in LANE_GROUP_SIZES:
+        results[size] = entry = {}
+        for v in variants:
+            for way in WAYS:
+                got = runs[v, size, way]
+                entry[f"{v}.{way}"] = dict(
+                    {k: x * 1e3 for k, x in summary([g["seconds"] for g in got]).items()},
+                    vmhwm_mb=statistics.median(g["vmhwm_mb"] for g in got),
+                    minor_faults_per_step=statistics.median(
+                        g["minor_faults_per_step"] for g in got),
+                )
+        first = entry[f"{next(iter(variants))}.serial"]["median"]
+        for value in entry.values():
+            value["median_over_first_serial"] = value["median"] / first
+        entry["same_bytes"] = len({g["digest"] for v in variants for way in WAYS
+                                   for g in runs[v, size, way]}) == 1
+    return {
+        "what": "wall time in ms of an evaluation of the hold policy and both baselines "
+                "(median and quartiles over the repeats, each in a fresh process), each "
+                "median over the first variant's serial one, the process's peak resident "
+                "memory (VmHWM) and its minor page faults per episode-step",
+        "sizes": {size: dict(zip(("profile", "eval_episodes", "eval_steps"), spec))
+                  for size, spec in LANE_GROUP_SIZES.items()},
+        "ways": {"serial": "affinity of the process set to one core",
+                 "threads": "every usable core, one lane-group thread per core",
+                 "jobs2": "--jobs 2 worker processes; their faults are added"},
+        "lane_groups": results,
+    }
+
+
 def wall_time(fn) -> float:
     """Seconds of one call, on the wall clock."""
     t0 = time.perf_counter()
@@ -195,23 +297,52 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def machine() -> dict:
+    return {
+        "cores": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def write(out: dict, path: Path | None) -> None:
+    text = json.dumps(out, indent=2) + "\n"
+    if path is not None:
+        path.write_text(text)
+    print(text, end="")
+
+
 def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] == ["--lane-group-run"]:
+        src, size, way, seed = sys.argv[2:]
+        print(json.dumps(lane_group_run(Path(src), size, way, int(seed))))
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--variant", action="append", required=True, metavar="NAME=SRC",
                     help="a name and the source directory that holds its dpwsim package")
     ap.add_argument("--repeats", type=int, default=30)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--lane-groups", action="store_true",
+                    help="time only evaluate and both baselines, serial, threaded and --jobs 2")
     ap.add_argument("--out", type=Path, help="write the JSON result here too")
     args = ap.parse_args(argv)
     if args.repeats < 2:
         ap.error("--repeats must be at least 2")
 
-    variants = {}
+    sources = {}
     for spec in args.variant:
         name, sep, src = spec.partition("=")
         if not sep or not name.isidentifier():
             ap.error(f"--variant wants NAME=SRC with NAME an identifier, got {spec!r}")
-        variants[name] = load_package(f"dpwsim_{name}", Path(src).resolve())
+        sources[name] = Path(src).resolve()
+    if args.lane_groups:
+        out = lane_groups_main(sources, args.repeats, args.seed)
+        write(dict(out, variants=list(sources), repeats=args.repeats, seed=args.seed,
+                   machine=machine()), args.out)
+        return 0
+    variants = {name: load_package(f"dpwsim_{name}", src) for name, src in sources.items()}
     cases = {(v, size): Case(pkg, size, args.seed) for v, pkg in variants.items() for size in SIZES}
     lane_cases = {(v, size, lanes): LaneCase(pkg, size, args.seed, lanes)
                   for v, pkg in variants.items() for size in SIZES for lanes in LANES[size]}
@@ -288,13 +419,7 @@ def main(argv=None) -> int:
         "variants": names,
         "repeats": args.repeats,
         "seed": args.seed,
-        "machine": {
-            "cores": os.cpu_count(),
-            "usable_cores": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine(),
         "results": results,
         "lanes_what": "simulate_step time per episode-step in ms with L episodes stepped "
                       "together (median and quartiles over the repeats), each median over "
@@ -306,10 +431,7 @@ def main(argv=None) -> int:
         "papr": papr_results,
         "papr_same_bytes": len(papr_tables) == 1,
     }
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out is not None:
-        args.out.write_text(text)
-    print(text, end="")
+    write(out, args.out)
     return 0
 
 

@@ -57,30 +57,37 @@ class Histogram12:
         return int(self.counts.sum())
 
 
-def _bin_counts(edges, values: np.ndarray) -> np.ndarray:
+def _bin_counts(edges, values: np.ndarray, where=None) -> np.ndarray:
     # bin i holds the values in [edge_i, edge_{i+1}); counting the values at
     # or above each inner edge and differencing those counts gives total
-    # coverage and clamps values below the first inner edge into bin 1
-    at_or_above = [np.count_nonzero(values >= e) for e in edges[1:-1]]
-    return -np.diff(np.array([values.size, *at_or_above, 0], dtype=np.int64))
+    # coverage and clamps values below the first inner edge into bin 1.
+    # ``where`` marks the values that count (all when None)
+    def count(mask):
+        return np.count_nonzero(mask if where is None else mask & where)
+
+    at_or_above = [count(values >= e) for e in edges[1:-1]]
+    total = values.size if where is None else np.count_nonzero(where)
+    return -np.diff(np.array([total, *at_or_above, 0], dtype=np.int64))
 
 
-def bin_snr(h: Histogram12, snr_db) -> Histogram12:
-    """Accumulate one or many SNR samples (dB); coverage is total thanks to
-    the infinite outer edges. NaN is rejected."""
+def bin_snr(h: Histogram12, snr_db, where=None) -> Histogram12:
+    """Accumulate one or many SNR samples (dB), those ``where`` marks when
+    given; coverage is total thanks to the infinite outer edges. NaN is
+    rejected."""
     vals = np.atleast_1d(np.asarray(snr_db, dtype=float))
-    if np.isnan(vals).any():
+    if np.isnan(vals).any(where=True if where is None else where):
         raise ValueError("SNR cannot be NaN")
-    return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals))
+    return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals, where))
 
 
-def bin_ta(h: Histogram12, ta_percent) -> Histogram12:
-    """Accumulate timing-advance percentage samples; values below the first
-    finite edge are clamped into bin 1, negatives and NaN are rejected."""
+def bin_ta(h: Histogram12, ta_percent, where=None) -> Histogram12:
+    """Accumulate timing-advance percentage samples, those ``where`` marks
+    when given; values below the first finite edge are clamped into bin 1,
+    negatives and NaN are rejected."""
     vals = np.atleast_1d(np.asarray(ta_percent, dtype=float))
-    if not np.all(vals >= 0.0):
+    if not np.all(vals >= 0.0, where=True if where is None else where):
         raise ValueError("timing advance cannot be negative or NaN")
-    return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals))
+    return Histogram12(edges=h.edges, counts=h.counts + _bin_counts(h.edges, vals, where))
 
 
 def descriptor_r(h: Histogram12, ell: int) -> float:
@@ -166,5 +173,7 @@ def timing_advance_percent(
     0)."""
     ta = 100.0 * distance_m / cell_range_m
     if jitter_pct > 0.0:
-        ta = ta + rng.uniform(-jitter_pct, jitter_pct, shape)
+        # the draw's array takes the sum and the clamp in place
+        jitter = rng.uniform(-jitter_pct, jitter_pct, shape)
+        return np.maximum(np.add(ta, jitter, out=jitter), 0.0, out=jitter)
     return np.broadcast_to(np.maximum(ta, 0.0), shape)

@@ -222,72 +222,120 @@ def evolve_fading(
     return out
 
 
-def precoded_gain(h: np.ndarray, codebook: np.ndarray = PRECODER_CODEBOOK) -> np.ndarray:
+@dataclass
+class GainScratch:
+    """Scratch of the gain passes over (slot, terminal) slabs of one shape:
+    the complex codeword sum ``y`` and product ``t``, the float ``gain`` of
+    one codeword or port and, with more than one receive antenna, the float
+    ``power`` of one antenna. A caller that computes gains of one shape
+    again and again keeps one, and the passes allocate nothing."""
+
+    y: np.ndarray
+    t: np.ndarray
+    gain: np.ndarray
+    power: np.ndarray | None
+
+    @classmethod
+    def empty(cls, shape, n_rx: int) -> "GainScratch":
+        return cls(np.empty(shape, dtype=complex), np.empty(shape, dtype=complex),
+                   np.empty(shape), np.empty(shape) if n_rx > 1 else None)
+
+
+def precoded_gain(
+    h: np.ndarray,
+    codebook: np.ndarray = PRECODER_CODEBOOK,
+    *,
+    out: np.ndarray | None = None,
+    scratch: GainScratch | None = None,
+) -> np.ndarray:
     """Best-codebook received power sum for a batch of (n_rx, n_tx) matrices:
     ``max_k sum_i |sum_j h_ij * w_jk|^2`` over the codebook columns w_k.
 
     Computed on slabs: each ``h[..., i, j]`` is an array over the batch, and
     the work is a handful of elementwise passes, one per codeword, receive
     antenna and port. The receive antennas are summed in order, the
-    codewords compared by a running maximum.
+    codewords compared by a running maximum. ``out`` (float, the batch
+    shape) receives the gains and ``scratch`` holds the passes' arrays; each
+    is allocated when not given.
     """
     h = np.asarray(h)
     n_rx, n_tx = h.shape[-2:]
     if n_tx != codebook.shape[0]:
         raise ValueError(f"{n_tx} transmit ports, but the codebook has {codebook.shape[0]} rows")
-    best = None
+    scratch = GainScratch.empty(h.shape[:-2], n_rx) if scratch is None else scratch
+    best = np.empty(h.shape[:-2]) if out is None else out
+    y, t = scratch.y, scratch.t
     for k in range(codebook.shape[1]):
-        gain = None
+        gain = best if k == 0 else scratch.gain
         for i in range(n_rx):
-            y = h[..., i, 0] * codebook[0, k]
+            np.multiply(h[..., i, 0], codebook[0, k], out=y)
             for j in range(1, n_tx):
-                y += h[..., i, j] * codebook[j, k]
-            power = np.abs(y) ** 2
-            gain = power if gain is None else gain + power
-        best = gain if best is None else np.maximum(best, gain)
-    return best
+                y += np.multiply(h[..., i, j], codebook[j, k], out=t)
+            power = gain if i == 0 else scratch.power
+            np.square(np.abs(y, out=power), out=power)
+            if i > 0:
+                gain += power
+        if k > 0:
+            np.maximum(best, gain, out=best)
+    return best if out is not None or best.ndim else best[()]
 
 
-def select_tx_port(h: np.ndarray) -> np.ndarray:
+def select_tx_port(
+    h: np.ndarray, *, out: np.ndarray | None = None, scratch: GainScratch | None = None
+) -> np.ndarray:
     """Single-port transmission gain: energy of the strongest transmit
     column, ``max_j sum_i |h_ij|^2``. Batch-friendly like precoded_gain,
-    and computed on slabs the same way."""
+    and computed on slabs the same way, into ``out`` with the float arrays
+    of ``scratch``."""
     h = np.asarray(h)
     n_rx, n_tx = h.shape[-2:]
-    best = None
+    scratch = GainScratch.empty(h.shape[:-2], n_rx) if scratch is None else scratch
+    best = np.empty(h.shape[:-2]) if out is None else out
     for j in range(n_tx):
-        gain = np.abs(h[..., 0, j]) ** 2
+        gain = best if j == 0 else scratch.gain
+        np.square(np.abs(h[..., 0, j], out=gain), out=gain)
         for i in range(1, n_rx):
-            gain = gain + np.abs(h[..., i, j]) ** 2
-        best = gain if best is None else np.maximum(best, gain)
-    return best
+            gain += np.square(np.abs(h[..., i, j], out=scratch.power), out=scratch.power)
+        if j > 0:
+            np.maximum(best, gain, out=best)
+    return best if out is not None or best.ndim else best[()]
 
 
-def sounding_gain(h: np.ndarray) -> np.ndarray:
+def sounding_gain(
+    h: np.ndarray, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Non-precoded channel gain seen on the sounding signal: total energy
-    averaged over transmit ports, summed over receive antennas."""
+    averaged over transmit ports, summed over receive antennas. ``out``
+    (the batch shape) receives it, and ``scratch`` (float, the shape of
+    ``h``) the energies; each is allocated when not given."""
     h = np.asarray(h)
-    return np.sum(np.abs(h) ** 2, axis=(-2, -1)) / h.shape[-1]
+    power = np.square(np.abs(h, out=scratch), out=scratch)
+    return np.divide(np.sum(power, axis=(-2, -1), out=out), h.shape[-1], out=out)
 
 
-def compute_snr(p_out_dbm, pl_db, h_eff_gain, n0_dbm):
+def compute_snr(p_out_dbm, pl_db, h_eff_gain, n0_dbm, *, out: np.ndarray | None = None):
     """Eq.-style dB budget: ``P_out - PL + 10*log10(gain) - N0``.
 
     ``h_eff_gain`` is the already-summed effective channel power
-    ``sum_i |h_i|^2``; zero gain yields -inf (deep-fade outage).
+    ``sum_i |h_i|^2``; zero gain yields -inf (deep-fade outage). ``out``,
+    when given, receives the budget and may be ``h_eff_gain`` itself.
     """
     gain = np.asarray(h_eff_gain, dtype=float)
     with np.errstate(divide="ignore"):
-        gain_db = 10.0 * np.log10(gain)
-    return (
-        np.asarray(p_out_dbm, dtype=float)
-        - np.asarray(pl_db, dtype=float)
-        + gain_db
-        - n0_dbm
-    )
+        snr = np.log10(gain, out=out)
+    snr = np.multiply(10.0, snr, out=out)
+    p_minus_pl = np.asarray(p_out_dbm, dtype=float) - np.asarray(pl_db, dtype=float)
+    return np.subtract(np.add(p_minus_pl, snr, out=out), n0_dbm, out=out)
 
 
-def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
+def map_throughput(
+    snr_db,
+    mcs: McsTable,
+    bandwidth_hz: float,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """AMC lookup: highest entry whose threshold is <= SNR (closed lower
     bound). Returns (throughput bits/s, outage flag); below the lowest
     threshold, and for a NaN SNR, the terminal is in outage with zero
@@ -297,13 +345,29 @@ def map_throughput(snr_db, mcs: McsTable, bandwidth_hz: float):
     unsigned integer (uint8 for the default table) over one comparison
     pass per threshold, indexes a table whose entry 0 is the outage
     throughput and entry k the k-th rate. A NaN compares false against
-    every threshold, so it counts 0. Scalars give numpy scalars."""
+    every threshold, so it counts 0. Scalars give numpy scalars.
+
+    ``out``, a (float, bool) pair of the SNR's shape, receives the result;
+    its float array may be ``snr_db`` itself. ``index``, an (unsigned,
+    intp) pair of that shape, receives the counts and the copy of them
+    that indexes the table; the outage array holds each pass's comparison
+    until the counts are done. Each is allocated when not given."""
     snr = np.asarray(snr_db, dtype=float)
     thresholds = mcs.thresholds
-    idx = np.zeros(snr.shape, dtype=np.min_scalar_type(len(thresholds)))
-    at_or_above = np.empty(snr.shape, dtype=bool)
+    if index is None:
+        index = (np.empty(snr.shape, dtype=np.min_scalar_type(len(thresholds))),
+                 np.empty(snr.shape, dtype=np.intp))
+    counts, table_index = index
+    tp, outage = (np.empty(snr.shape), np.empty(snr.shape, dtype=bool)) if out is None else out
+    counts.fill(0)
     for t in thresholds:
-        np.greater_equal(snr, t, out=at_or_above)
-        idx += at_or_above
+        counts += np.greater_equal(snr, t, out=outage)
+    np.copyto(table_index, counts)
     table = np.concatenate(([0.0], mcs.efficiencies * bandwidth_hz))
-    return table[idx], idx == 0
+    # take converts any other index to intp in a temporary; mode="clip"
+    # writes straight into tp, as the counts never leave the table
+    np.take(table, table_index, out=tp, mode="clip")
+    np.equal(counts, 0, out=outage)
+    if out is None and not tp.ndim:
+        return tp[()], outage[()]
+    return tp, outage

@@ -18,9 +18,15 @@ in its arrays, each lane draws from its own streams and under its own
 thresholds, and one step advances them all, each lane keeping the bytes it
 would have alone. Evaluation and the baselines run their episodes in
 contiguous lane groups (``lane_groups``), as many lanes per group as keep
-a step within ``LANE_TERMINAL_SLOTS`` terminal-slots, and ``--jobs``
-workers share the groups. Training runs one lane per episode, because each
-episode acts on the network the one before it trained.
+a step within ``LANE_TERMINAL_SLOTS`` terminal-slots. The groups run in
+contiguous runs on one thread per usable core, or, with ``--jobs`` above
+1, in that many worker processes; the outputs do not depend on either.
+Training runs one lane per episode, because each episode acts on the
+network the one before it trained.
+
+A cell keeps every (slot, terminal) array of its step in buffers sized
+when it is dropped (``StepBuffers``), in its own memory map, so a step
+after the first allocates little and touches no fresh page.
 
 Randomness is organized as named substreams of the run seed so that
 training, evaluation and the fixed-waveform baselines draw independent (or
@@ -36,6 +42,7 @@ import copy
 import csv
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -73,6 +80,8 @@ from .kpi import (
 from .link_model import (
     CP_OFDM,
     DFT_S_OFDM,
+    GainScratch,
+    McsTable,
     compute_snr,
     draw_fading,
     evolve_fading,
@@ -96,6 +105,85 @@ STREAM_TRAIN, STREAM_EVAL, STREAM_AGENT, STREAM_PAPR = 0, 1, 2, 3
 LANE_TERMINAL_SLOTS = 50_000
 
 
+def _nbytes(shape, dtype) -> int:
+    """The bytes of an array, rounded up to whole 64-byte lines."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+
+
+def _views(buffer: np.ndarray, *arrays) -> list[np.ndarray]:
+    """C-contiguous arrays of the given (shape, dtype), laid one after the
+    other in the memory of the C-contiguous ``buffer``, each from a 64-byte
+    boundary of it."""
+    raw = buffer.reshape(-1).view(np.uint8)
+    if sum(_nbytes(*array) for array in arrays) > raw.size:
+        raise ValueError(f"{raw.size} bytes do not hold {arrays}")
+    views, start = [], 0
+    for shape, dtype in arrays:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(raw[start : start + size].view(dtype).reshape(shape))
+        start += _nbytes(shape, dtype)
+    return views
+
+
+def _mapped(*arrays) -> list[np.ndarray]:
+    """Arrays of the given (shape, dtype), laid out by :func:`_views` in one
+    fresh anonymous memory map. The map goes back to the system when the
+    last of them goes. malloc would keep the pages of a large array freed
+    on a worker thread in that thread's arena, where the next phase of the
+    process, on another thread, does not reuse them."""
+    memory = mmap.mmap(-1, max(1, sum(_nbytes(*array) for array in arrays)))
+    return _views(np.frombuffer(memory, dtype=np.uint8), *arrays)
+
+
+class StepBuffers:
+    """The (slot, terminal) arrays of one step of a cell, kept from step to
+    step as its fading buffers are, so that a step allocates none of them:
+    for a step of ``n_slots`` slots, a sounding every ``period`` slots and
+    a channel of shape (terminal, rx, tx).
+
+    Kept through the step:
+
+    - ``gamma`` (sounding, terminal): the sounding gain, then gamma;
+      ``heard``: who hears each sounding;
+    - ``df_rows`` (slot + 1, terminal): the switch toggles, then the
+      waveform of each row; ``silent`` (slot, terminal): the guard slots;
+    - ``budget`` and ``df_budget`` (slot, terminal): the gain, then the SNR
+      budget, of the multi-port and of the single-carrier waveform; the
+      throughput then overwrites the budget it is mapped from;
+    - ``gains``: the float scratch of the gain passes; ``counts`` and
+      ``outage``: the AMC counts and the outage flags.
+
+    The rest are views of ``noise``, the fading draws, which are free once
+    evolve_fading has laid them into the trajectory: before the gains, the
+    ``sounding`` energies and the guard ``ends`` (slot + 1, terminal); then
+    the gains' complex ``y`` and ``t``; after them, the AMC ``table_index``
+    and ``tp_rows``, the throughput as one contiguous row per terminal.
+    They fit: the draws hold 2 * rx * tx float64 per terminal-slot, and
+    tx is 2.
+    """
+
+    def __init__(self, noise: np.ndarray, n_slots: int, period: int, channel: tuple,
+                 mcs: McsTable):
+        n, n_rx = channel[0], channel[1]
+        slab = (n_slots, n)
+        n_snd = n_slots // period
+        kept = [
+            ((n_snd, n), float), ((n_snd, n), bool), ((n_slots + 1, n), bool), (slab, bool),
+            (slab, float), (slab, float), (slab, np.min_scalar_type(len(mcs.thresholds))),
+            (slab, bool), (slab, float),
+        ]
+        # the power of one receive antenna, with more than one
+        kept += [(slab, float)] * (n_rx > 1)
+        (self.gamma, self.heard, self.df_rows, self.silent, self.budget, self.df_budget,
+         self.counts, self.outage, gain, *power) = _mapped(*kept)
+        self.sounding, self.ends = _views(
+            noise, ((n_snd,) + channel, float), ((n_slots + 1, n), np.intp)
+        )
+        y, t = _views(noise, (slab, complex), (slab, complex))
+        self.gains = GainScratch(y, t, gain, power[0] if power else None)
+        self.table_index, self.tp_rows = _views(noise, (slab, np.intp), ((n, n_slots), float))
+
+
 @dataclass
 class Cell:
     """The dropped terminals of one or more episodes as arrays, one entry
@@ -115,6 +203,9 @@ class Cell:
     # does not keep them past it
     fading_noise: np.ndarray
     trajectory: np.ndarray
+    # the step's other (slot, terminal) arrays, kept alike, some of them
+    # in fading_noise
+    buffers: StepBuffers
     lanes: int = 1
     # switching state: on DFT-S-OFDM, the occasion counter, and the guard
     # slots carried into the next step
@@ -168,7 +259,7 @@ def agent_rng(seed: int) -> np.random.Generator:
 def drop_ues(cfg: SimConfig, rngs) -> tuple[Cell, np.ndarray]:
     """Uniform distances in the configured annulus, per-terminal lognormal
     shadowing frozen for the episode, fresh fading; returns the cell, with
-    fading buffers for steps of ``slots_per_step`` slots, and its
+    fading and step buffers for steps of ``slots_per_step`` slots, and its
     (terminal, rx, tx) fading array. ``rngs`` holds one generator per
     lane, and each lane is dropped from its own, as one episode would be."""
     n = cfg.episode.ues_per_episode
@@ -181,11 +272,15 @@ def drop_ues(cfg: SimConfig, rngs) -> tuple[Cell, np.ndarray]:
         fadings.append(draw_fading((n, cell.n_rx, 2), lane_rng))
     distances, fading = np.concatenate(distances), np.concatenate(fadings)
     pl = path_loss_uma(distances, cell.carrier_ghz) + np.concatenate(shadows)
+    noise, trajectory = _mapped(
+        ((len(rngs), n_slots, 2, n, cell.n_rx, 2), float), ((n_slots,) + fading.shape, complex)
+    )
     return Cell(
         distance_m=distances,
         path_loss_db=pl,
-        fading_noise=np.empty((len(rngs), n_slots, 2, n, cell.n_rx, 2)),
-        trajectory=np.empty((n_slots,) + fading.shape, dtype=complex),
+        fading_noise=noise,
+        trajectory=trajectory,
+        buffers=StepBuffers(noise, n_slots, cfg.episode.srs_period_slots, fading.shape, cfg.mcs),
         lanes=len(rngs),
     ), fading
 
@@ -228,12 +323,13 @@ def simulate_step(
     timing-advance draw, the histograms and the percentiles are per lane.
 
     Reads the switching state from ``cell`` and writes back the new state
-    and the step's per-terminal outcomes; the trajectory is evolved in the
-    cell's kept fading buffers. Appends the switches to ``events`` as
-    (episode, ue_id, slot, from, to), in (sounding, terminal) order, so the
-    lanes of one step interleave. Returns one report per lane and a copy of
-    the evolved fading array. ``trace``, when given, receives the per-slot
-    (slot, terminal) arrays ``is_df``, ``silent`` and ``tp``.
+    and the step's per-terminal outcomes; the trajectory and every other
+    (slot, terminal) array of the step live in the cell's kept buffers.
+    Appends the switches to ``events`` as (episode, ue_id, slot, from, to),
+    in (sounding, terminal) order, so the lanes of one step interleave.
+    Returns one report per lane and a copy of the evolved fading array.
+    ``trace``, when given, receives copies of the per-slot (slot, terminal)
+    arrays ``is_df``, ``silent`` and ``tp``.
     """
     for name, per_lane in (("streams", streams), ("zeta_db", zeta_db), ("xi_db", xi_db),
                            ("episode", episode)):
@@ -253,11 +349,14 @@ def simulate_step(
     # channel and sounding SNR gamma. gamma uses a waveform-independent
     # power reference (the multi-port cap), so a switch does not shift
     # gamma by the back-off gap and thresholds compare like with like.
+    buf = cell.buffers
     traj = evolve_fading(
         fading, cell_cfg.fading_rho, [s.fading for s in streams], n_slots,
         out=cell.trajectory, noise=cell.fading_noise,
     )
-    gamma = compute_snr(p_cp, pl, sounding_gain(traj[::period]), n0)
+    gamma = buf.gamma
+    sounding_gain(traj[::period], out=gamma, scratch=buf.sounding)
+    compute_snr(p_cp, pl, gamma, n0, out=gamma)
 
     # switching machine over the step's soundings, then the per-slot masks
     # from its switches: a terminal is silent while slot < guard_end, and a
@@ -274,15 +373,17 @@ def simulate_step(
         )
     sw_slot = sounding_slots[sw_snd]
     row = sw_slot + 1
-    toggles = np.zeros((n_slots + 1, len(cell)), dtype=bool)
-    toggles[0] = cell.is_df
-    toggles[row, sw_ue] = True
-    df_rows = np.logical_xor.accumulate(toggles, axis=0)
-    ends = np.zeros((n_slots + 1, len(cell)), dtype=np.int64)
+    df_rows, ends = buf.df_rows, buf.ends
+    df_rows.fill(False)
+    df_rows[0] = cell.is_df
+    df_rows[row, sw_ue] = True
+    np.logical_xor.accumulate(df_rows, axis=0, out=df_rows)
+    ends.fill(0)
     ends[0] = cell.guard_end
     ends[row, sw_ue] = sw_slot + 1 + dpws_cfg.guard_slots
     is_df_slots = df_rows[:-1]
-    silent = slots[:, None] < np.maximum.accumulate(ends[:-1], axis=0)
+    guard_ends = np.maximum.accumulate(ends[:-1], axis=0, out=ends[:-1])
+    silent = np.less(slots[:, None], guard_ends, out=buf.silent)
     to_df = df_rows[row, sw_ue].tolist()
     lane, ue = np.divmod(sw_ue, n)
     for slot, k, i, df in zip(sw_slot.tolist(), lane.tolist(), ue.tolist(), to_df):
@@ -294,18 +395,23 @@ def simulate_step(
     # mapping for the step.
     all_df = is_df_slots.all()
     if not all_df:
-        snr = compute_snr(p_cp, pl, precoded_gain(traj), n0)
+        snr = precoded_gain(traj, out=buf.budget, scratch=buf.gains)
+        compute_snr(p_cp, pl, snr, n0, out=snr)
     if is_df_slots.any():
-        snr_df = compute_snr(p_df, pl, select_tx_port(traj), n0)
+        snr_df = select_tx_port(traj, out=buf.df_budget, scratch=buf.gains)
+        compute_snr(p_df, pl, snr_df, n0, out=snr_df)
         snr_df -= cell_cfg.dfts_snr_penalty_db
         if all_df:
             snr = snr_df
         else:
             np.copyto(snr, snr_df, where=is_df_slots)
-    tp, outage = map_throughput(snr, cfg.mcs, noise.bandwidth_hz)
-    tp[silent] = 0.0
+    tp, outage = map_throughput(
+        snr, cfg.mcs, noise.bandwidth_hz, out=(snr, buf.outage),
+        index=(buf.counts, buf.table_index),
+    )
+    np.copyto(tp, 0.0, where=silent)
     if trace is not None:
-        trace.update(is_df=is_df_slots, silent=silent, tp=tp)
+        trace.update(is_df=is_df_slots.copy(), silent=silent.copy(), tp=tp.copy())
 
     # sounding statistics over the heard terminals of the soundings that
     # hear anyone, per lane; only those soundings draw timing-advance
@@ -317,16 +423,14 @@ def simulate_step(
     # hear, m, and each group's heard values are packed into contiguous
     # rows of length m, whose row sums add in numpy's pairwise order
     # exactly as the 1-D sum of one row's heard values does.
-    heard = ~silent[::period]
+    heard = np.logical_not(silent[::period], out=buf.heard)
     n_snd = len(heard)
     heard_rows, gamma_rows = heard.reshape(-1, n), gamma.reshape(-1, n)
     n_heard = heard_rows.sum(axis=1)
     sums = gamma_rows.sum(axis=1)
-    partly = np.flatnonzero((n_heard > 0) & (n_heard < n))
-    n_partly = n_heard[partly]
-    for m in np.unique(n_partly).tolist():
-        rows = partly[n_partly == m]
-        sums[rows] = gamma_rows[rows][heard_rows[rows]].reshape(len(rows), m).sum(axis=1)
+    for m in np.unique(n_heard[(n_heard > 0) & (n_heard < n)]).tolist():
+        group = n_heard == m
+        sums[group] = gamma_rows[heard_rows & group[:, None]].reshape(-1, m).sum(axis=1)
     # adding -0.0 leaves any sum as it is, so the soundings a lane does not
     # hear drop out of its running sum
     sounded = (n_heard > 0).reshape(n_snd, n_lanes)
@@ -336,10 +440,13 @@ def simulate_step(
     cell.is_df, cell.c, cell.guard_end = is_df, c, np.maximum(guard_end - n_slots, 0)
     # a contiguous row per terminal: its mean sums in the same order as a
     # mean over the terminal's column would
-    cell.throughput_bps = np.ascontiguousarray(tp.T).mean(axis=1)
-    cell.bearing_slots = (~silent & ~outage).sum(axis=0)
-    cell.outage_slots = (~silent & outage).sum(axis=0)
+    np.copyto(buf.tp_rows, tp.T)
+    cell.throughput_bps = buf.tp_rows.mean(axis=1)
+    # a slot is silent, in outage or bearing data
     cell.guard_slots = silent.sum(axis=0)
+    lost = np.logical_or(silent, outage, out=outage).sum(axis=0)
+    cell.bearing_slots = n_slots - lost
+    cell.outage_slots = lost - cell.guard_slots
 
     # cell throughput distribution over terminals; scheduling drops
     # terminals that spent the whole transmission in outage
@@ -347,16 +454,17 @@ def simulate_step(
     reports = []
     for k, lane_streams in enumerate(streams):
         terminals = cell.lane(k)
-        lane_heard = heard[sounded[:, k], terminals]
-        lane_gamma = gamma[sounded[:, k], terminals]
+        # views of the lane's columns when it hears every sounding
+        rows = slice(None) if sounded[:, k].all() else sounded[:, k]
+        lane_heard, lane_gamma = heard[rows, terminals], gamma[rows, terminals]
         ta = timing_advance_percent(
             cell.distance_m[terminals], cell_cfg.cell_range_m, cell_cfg.ta_jitter_pct,
             lane_streams.ta, lane_heard.shape,
         )
         included = cell.bearing_slots[terminals] > 0
         reports.append(CellKpiReport(
-            snr_hist=bin_snr(Histogram12(edges=SNR_BIN_EDGES), lane_gamma[lane_heard]),
-            ta_hist=bin_ta(Histogram12(edges=TA_BIN_EDGES), ta[lane_heard]),
+            snr_hist=bin_snr(Histogram12(edges=SNR_BIN_EDGES), lane_gamma, where=lane_heard),
+            ta_hist=bin_ta(Histogram12(edges=TA_BIN_EDGES), ta, where=lane_heard),
             throughput=throughput_percentiles(tp_mean[terminals][included]),
             mean_gamma_db=totals[k] / gamma_n[k] if gamma_n[k] else float("nan"),
         ))
@@ -574,6 +682,33 @@ def _policy_lanes(
     return [row for lane_rows in rows for row in lane_rows], samples, events
 
 
+def _in_threads(run, groups: list[range]) -> list:
+    """``run`` of every group, in group order. The groups split into
+    contiguous runs, one per usable core: this thread steps the first run
+    and a worker thread each of the others (the fading draws, the largest
+    part of a wide step, release the GIL). With one group or one core no
+    thread starts; none outlives the call, whether it returns or raises."""
+    from .waveform import _usable_cores
+
+    n = min(_usable_cores(), len(groups))
+    bounds = [len(groups) * i // n for i in range(n + 1)]
+
+    def fill(i: int) -> list:
+        return [run(group) for group in groups[bounds[i] : bounds[i + 1]]]
+
+    if n == 1:
+        return fill(0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block joins every worker, also when a run raises
+    with ThreadPoolExecutor(n - 1) as pool:
+        others = [pool.submit(fill, i) for i in range(1, n)]
+        results = fill(0)
+        for done in others:
+            results += done.result()
+    return results
+
+
 def _run_policy(
     cfg: SimConfig,
     outdir: str | Path,
@@ -596,7 +731,7 @@ def _run_policy(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, groups))
     else:
-        results = list(map(run, groups))
+        results = _in_threads(run, groups)
 
     all_events: list = []
     all_samples: list = []

@@ -406,6 +406,98 @@ class TestLaneGroups:
         assert self.assert_lane_groups_change_nothing(cfg, tmp_path, monkeypatch) > 1
 
 
+
+class TestLaneThreads:
+    """Lane groups on one thread per usable core (``waveform._usable_cores``)."""
+
+    @staticmethod
+    def three_group_cfg(monkeypatch):
+        """A config of 5 episodes in 3 lane groups (1, 2 and 2 episodes)."""
+        import dpwsim.orchestrator as orch
+
+        cfg = tiny_cfg(seed=33)
+        cfg.dpws.counter, cfg.dpws.guard_slots = 1, 5
+        cfg.episode.eval_episodes = 5
+        e = cfg.episode
+        monkeypatch.setattr(orch, "LANE_TERMINAL_SLOTS", 2 * e.ues_per_episode * e.slots_per_step)
+        assert [len(g) for g in lane_groups(cfg)] == [1, 2, 2]
+        return cfg
+
+    def test_files_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        import threading
+
+        import dpwsim.orchestrator as orch
+        import dpwsim.waveform as waveform
+
+        cfg = self.three_group_cfg(monkeypatch)
+        ckpt = tmp_path / "qnet.txt"
+        snr_steered_network(cfg).save(ckpt)
+        stepped_on = []
+        policy_lanes = orch._policy_lanes
+
+        def spy(cfg, episodes, *args, **kwargs):
+            stepped_on.append((episodes[0], threading.get_ident()))
+            return policy_lanes(cfg, episodes, *args, **kwargs)
+
+        monkeypatch.setattr(orch, "_policy_lanes", spy)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(waveform, "_usable_cores", lambda: cores)
+            stepped_on.clear()
+            before = threading.active_count()
+            run_evaluation(cfg, tmp_path / f"{cores}-eval", ckpt)
+            run_baseline(cfg, tmp_path / f"{cores}-cp", CP_OFDM)
+            run_baseline(cfg, tmp_path / f"{cores}-dfts", DFT_S_OFDM)
+            assert threading.active_count() == before
+            # the groups (first episodes 0, 1 and 3) in contiguous runs: the
+            # first on the calling thread, each other run on a worker
+            here = threading.get_ident()
+            for run in range(3):
+                on = dict(stepped_on[3 * run : 3 * run + 3])
+                assert on[0] == here
+                assert (on[1] == here) == (on[3] == here) == (cores == 1)
+                if cores == 2:
+                    assert on[1] == on[3]
+        for run in ("eval", "cp", "dfts"):
+            for name in RUN_FILES + ("manifest.json",):
+                want = (tmp_path / f"1-{run}" / name).read_bytes()
+                for cores in (2, 3):
+                    assert (tmp_path / f"{cores}-{run}" / name).read_bytes() == want, (
+                        cores, run, name)
+
+    def test_a_failing_group_joins_every_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        import dpwsim.orchestrator as orch
+        import dpwsim.waveform as waveform
+        from dpwsim import cli
+        from dpwsim.kpi import InsufficientDataError
+
+        cfg = self.three_group_cfg(monkeypatch)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nprofile = ci\nseed = 33\n\n[episode]\neval_episodes = 5\n"
+                       f"ues_per_episode = {cfg.episode.ues_per_episode}\n"
+                       f"slots_per_step = {cfg.episode.slots_per_step}\n")
+        monkeypatch.setattr(waveform, "_usable_cores", lambda: 3)
+        policy_lanes = orch._policy_lanes
+
+        def failing(cfg, episodes, *args, **kwargs):
+            if episodes[0] == 3:  # the last group, on the last worker
+                raise InsufficientDataError("too few terminals carry data")
+            return policy_lanes(cfg, episodes, *args, **kwargs)
+
+        monkeypatch.setattr(orch, "_policy_lanes", failing)
+        before = threading.active_count()
+        argv = ["baseline", "--config", str(ini), "--waveform", "cp"]
+        assert cli.main(argv + ["--out", str(tmp_path / "failed")]) == cli.EXIT_RUNTIME
+        assert threading.active_count() == before
+        # no thread is left to hold a lock when the pool forks its workers
+        monkeypatch.setattr(orch, "_policy_lanes", policy_lanes)
+        assert cli.main(argv + ["--out", str(tmp_path / "pool"), "--jobs", "2"]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "threads")]) == 0
+        for name in RUN_FILES:
+            assert (tmp_path / "pool" / name).read_bytes() == (
+                tmp_path / "threads" / name).read_bytes(), name
+
 class TestComparison:
     def test_self_comparison_is_zero(self, tmp_path):
         cfg = tiny_cfg(seed=26)

@@ -381,3 +381,44 @@ class TestLanesMatchSeparateCells:
                               events=events, episode=args["episode"])
             assert not events and not cell.is_df.any()
         assert [s.fading.bit_generator.state for s in streams] == states
+
+
+def test_paper_step_reuses_the_cells_buffers():
+    # after one warm-up step, a paper-size step (50 terminals, 1000 slots)
+    # with switching on works in the cell's buffers: it allocates little
+    # (its largest temporaries are the timing-advance draw and the heard
+    # values, (sounding, terminal) each) and the buffers keep their memory
+    import tracemalloc
+
+    from dpwsim.config import load_config
+
+    cfg = load_config(profile="paper", seed=1)
+    streams = episode_streams(cfg.seed, STREAM_EVAL, 0)
+    cell, fading = drop_ues(cfg, [streams.drop])
+    buffers = {name: value for name, value in vars(cell.buffers).items()
+               if isinstance(value, np.ndarray)}
+    buffers.update(("gains." + name, value) for name, value in vars(cell.buffers.gains).items()
+                   if value is not None)
+    buffers.update(trajectory=cell.trajectory, fading_noise=cell.fading_noise)
+    addresses = {name: value.ctypes.data for name, value in buffers.items()}
+    events = []
+
+    def step():
+        nonlocal fading
+        _, fading = simulate_step(cell, fading, [6.0], [2.0], cfg, [streams],
+                                  events=events, episode=[0])
+
+    step()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            step()
+            assert tracemalloc.get_traced_memory()[1] < 0.5 * 2**20
+    finally:
+        tracemalloc.stop()
+    # both budgets were needed: some terminals switched, not all
+    assert events and cell.is_df.any() and not cell.is_df.all()
+    assert {name: value.ctypes.data for name, value in buffers.items()} == addresses
+    assert all(value is getattr(cell.buffers, name) for name, value in buffers.items()
+               if "." not in name and name not in ("trajectory", "fading_noise"))
