@@ -15,10 +15,12 @@ reaches all of them alike. Times are ``time.process_time`` per call;
 gives, per size, layer and variant, the median and quartiles of the
 repeats and the median's ratio to the first variant's, and the machine (core count, python and numpy versions).
 
-The layers run on the inputs a step gives them: the fading call evolves a
-dropped cell's fading over one step into the cell's kept buffers, the AMC
-lookup maps a step's (slot, terminal) SNR, the histogram counts bin a
-step's sounding SNR, and the whole step continues one episode at the
+The layers run on the inputs a step gives them, into the buffers
+``simulate_step`` gives them: the fading call evolves a dropped cell's
+fading over one step into the cell's kept buffers, the AMC lookup maps a
+step's (slot, terminal) SNR into the cell's step buffers (in a variant
+whose cell keeps none, into arrays it allocates), the histogram counts bin
+a step's sounding SNR, and the whole step continues one episode at the
 default thresholds. Every call passes one generator, stream set and
 threshold pair per lane, so each variant must be a checkout that has
 episode lanes.
@@ -127,6 +129,10 @@ class Case:
             p_cp, self.cell.path_loss_db, link.sounding_gain(traj[::period]), n0
         ).ravel()
         self.bandwidth = cfg.cell.noise().bandwidth_hz
+        buf = getattr(self.cell, "buffers", None)
+        self.amc_buffers = {} if buf is None else {
+            "out": (buf.budget, buf.outage), "index": (buf.counts, buf.table_index)
+        }
 
     def evolve_fading(self):
         cfg = self.cfg
@@ -136,7 +142,9 @@ class Case:
         )
 
     def map_throughput(self):
-        self.pkg["link_model"].map_throughput(self.snr, self.cfg.mcs, self.bandwidth)
+        self.pkg["link_model"].map_throughput(
+            self.snr, self.cfg.mcs, self.bandwidth, **self.amc_buffers
+        )
 
     def _bin_counts(self):
         kpi = self.pkg["kpi"]

@@ -136,13 +136,16 @@ def _mapped(*arrays) -> list[np.ndarray]:
 
 
 class StepBuffers:
-    """The (slot, terminal) arrays of one step of a cell, kept from step to
-    step as its fading buffers are, so that a step allocates none of them:
-    for a step of ``n_slots`` slots, a sounding every ``period`` slots and
-    a channel of shape (terminal, rx, tx).
+    """The arrays of one step of a cell, in one memory map that lives as
+    long as the cell, so that a step allocates none of them and an episode
+    reuses their pages: for ``lanes`` lanes, a step of ``n_slots`` slots, a
+    sounding every ``period`` slots and a channel of shape (terminal, rx,
+    tx).
 
     Kept through the step:
 
+    - ``trajectory`` (slot, terminal, rx, tx): the fading of each slot (see
+      link_model.evolve_fading);
     - ``gamma`` (sounding, terminal): the sounding gain, then gamma;
       ``heard``: who hears each sounding;
     - ``df_rows`` (slot + 1, terminal): the switch toggles, then the
@@ -153,35 +156,41 @@ class StepBuffers:
     - ``gains``: the float scratch of the gain passes; ``counts`` and
       ``outage``: the AMC counts and the outage flags.
 
-    The rest are views of ``noise``, the fading draws, which are free once
-    evolve_fading has laid them into the trajectory: before the gains, the
-    ``sounding`` energies and the guard ``ends`` (slot + 1, terminal); then
-    the gains' complex ``y`` and ``t``; after them, the AMC ``table_index``
-    and ``tp_rows``, the throughput as one contiguous row per terminal.
-    They fit: the draws hold 2 * rx * tx float64 per terminal-slot, and
-    tx is 2.
+    ``noise``, the fading draws (lane, slot, 2, terminal, rx, tx), is free
+    once evolve_fading has laid them into the trajectory, and three layouts
+    reuse its memory in turn: before the gains, the ``sounding`` energies
+    and the guard ``ends`` (slot + 1, terminal); then the gains' complex
+    ``y`` and ``t``; after them, the AMC ``table_index`` and ``tp_rows``,
+    the throughput as one contiguous row per terminal. That memory is as
+    large as the largest of the four.
     """
 
-    def __init__(self, noise: np.ndarray, n_slots: int, period: int, channel: tuple,
-                 mcs: McsTable):
-        n, n_rx = channel[0], channel[1]
+    def __init__(self, lanes: int, n_slots: int, period: int, channel: tuple, mcs: McsTable):
+        n, n_rx, n_tx = channel
         slab = (n_slots, n)
         n_snd = n_slots // period
+        draws = ((lanes, n_slots, 2, n // lanes, n_rx, n_tx), float)
+        sounding, gains, amc = overlays = (
+            [((n_snd,) + channel, float), ((n_slots + 1, n), np.intp)],
+            [(slab, complex), (slab, complex)],
+            [(slab, np.intp), ((n, n_slots), float)],
+        )
+        shared = max(sum(_nbytes(*array) for array in layout) for layout in [[draws], *overlays])
         kept = [
+            ((shared,), np.uint8), ((n_slots,) + channel, complex),
             ((n_snd, n), float), ((n_snd, n), bool), ((n_slots + 1, n), bool), (slab, bool),
             (slab, float), (slab, float), (slab, np.min_scalar_type(len(mcs.thresholds))),
             (slab, bool), (slab, float),
         ]
         # the power of one receive antenna, with more than one
         kept += [(slab, float)] * (n_rx > 1)
-        (self.gamma, self.heard, self.df_rows, self.silent, self.budget, self.df_budget,
-         self.counts, self.outage, gain, *power) = _mapped(*kept)
-        self.sounding, self.ends = _views(
-            noise, ((n_snd,) + channel, float), ((n_slots + 1, n), np.intp)
-        )
-        y, t = _views(noise, (slab, complex), (slab, complex))
+        (shared, self.trajectory, self.gamma, self.heard, self.df_rows, self.silent, self.budget,
+         self.df_budget, self.counts, self.outage, gain, *power) = _mapped(*kept)
+        [self.noise] = _views(shared, draws)
+        self.sounding, self.ends = _views(shared, *sounding)
+        y, t = _views(shared, *gains)
         self.gains = GainScratch(y, t, gain, power[0] if power else None)
-        self.table_index, self.tp_rows = _views(noise, (slab, np.intp), ((n, n_slots), float))
+        self.table_index, self.tp_rows = _views(shared, *amc)
 
 
 @dataclass
@@ -196,15 +205,7 @@ class Cell:
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
-    # every step's fading draws and trajectory go into these two buffers
-    # (see link_model.evolve_fading): the draws lane by lane, (lane, slot,
-    # 2, terminal, rx, tx), the trajectory (slot, terminal, rx, tx). They
-    # live as long as the cell, so an episode reuses its pages and a run
-    # does not keep them past it
-    fading_noise: np.ndarray
-    trajectory: np.ndarray
-    # the step's other (slot, terminal) arrays, kept alike, some of them
-    # in fading_noise
+    # every array of a step, the fading draws and trajectory among them
     buffers: StepBuffers
     lanes: int = 1
     # switching state: on DFT-S-OFDM, the occasion counter, and the guard
@@ -232,6 +233,14 @@ class Cell:
 
     def __len__(self) -> int:
         return len(self.distance_m)
+
+    @property
+    def fading_noise(self) -> np.ndarray:
+        return self.buffers.noise
+
+    @property
+    def trajectory(self) -> np.ndarray:
+        return self.buffers.trajectory
 
     def lane(self, lane: int) -> slice:
         """The entries of lane ``lane``'s terminals."""
@@ -272,15 +281,12 @@ def drop_ues(cfg: SimConfig, rngs) -> tuple[Cell, np.ndarray]:
         fadings.append(draw_fading((n, cell.n_rx, 2), lane_rng))
     distances, fading = np.concatenate(distances), np.concatenate(fadings)
     pl = path_loss_uma(distances, cell.carrier_ghz) + np.concatenate(shadows)
-    noise, trajectory = _mapped(
-        ((len(rngs), n_slots, 2, n, cell.n_rx, 2), float), ((n_slots,) + fading.shape, complex)
-    )
     return Cell(
         distance_m=distances,
         path_loss_db=pl,
-        fading_noise=noise,
-        trajectory=trajectory,
-        buffers=StepBuffers(noise, n_slots, cfg.episode.srs_period_slots, fading.shape, cfg.mcs),
+        buffers=StepBuffers(
+            len(rngs), n_slots, cfg.episode.srs_period_slots, fading.shape, cfg.mcs
+        ),
         lanes=len(rngs),
     ), fading
 

@@ -237,6 +237,12 @@ class TestKernelMatchesSlotLoop:
     def test_several_receive_antennas(self):
         assert_same(small_cfg(seed=13, n_rx=4), VARIED[:2])
 
+    @pytest.mark.parametrize("ues, slots, srs", [(21, 50, 2), (21, 50, 1), (41, 1, 1), (21, 9, 3)])
+    def test_sizes_off_whole_cache_lines(self, ues, slots, srs):
+        # terminal-slot counts that are no multiple of 4, so the step's
+        # arrays laid in the fading draws each end inside a 64-byte line
+        assert_same(small_cfg(seed=15, ues=ues, slots=slots, srs=srs), VARIED)
+
 
 def lane_steps(cfg, episodes, thresholds, fixed=None):
     """The ``episodes`` as lanes of one cell, step k under the per-lane
@@ -329,6 +335,10 @@ class TestLanesMatchSeparateCells:
         cfg = small_cfg(seed=23, fading_rho=1.0, ta_jitter_pct=0.0)
         assert_lanes_alone(cfg, [0, 1, 2], self.LANE_THRESHOLDS)
 
+    def test_sizes_off_whole_cache_lines(self):
+        assert_lanes_alone(small_cfg(seed=24, ues=21, slots=9, srs=3), [0, 1, 2],
+                           self.LANE_THRESHOLDS)
+
     @pytest.mark.parametrize("waveform", [CP_OFDM, DFT_S_OFDM])
     def test_switching_disabled(self, waveform):
         assert_lanes_alone(small_cfg(seed=24), [3, 4], [[(0.0, 5.0)] * 2] * 3, fixed=waveform)
@@ -399,7 +409,6 @@ def test_paper_step_reuses_the_cells_buffers():
                if isinstance(value, np.ndarray)}
     buffers.update(("gains." + name, value) for name, value in vars(cell.buffers.gains).items()
                    if value is not None)
-    buffers.update(trajectory=cell.trajectory, fading_noise=cell.fading_noise)
     addresses = {name: value.ctypes.data for name, value in buffers.items()}
     events = []
 
@@ -421,4 +430,5 @@ def test_paper_step_reuses_the_cells_buffers():
     assert events and cell.is_df.any() and not cell.is_df.all()
     assert {name: value.ctypes.data for name, value in buffers.items()} == addresses
     assert all(value is getattr(cell.buffers, name) for name, value in buffers.items()
-               if "." not in name and name not in ("trajectory", "fading_noise"))
+               if "." not in name)
+    assert cell.trajectory is cell.buffers.trajectory and cell.fading_noise is cell.buffers.noise
