@@ -118,7 +118,13 @@ class Case:
         self.cell, self.fading = orch.drop_ues(cfg, [self.streams.drop])
         n_slots, period = cfg.episode.slots_per_step, cfg.episode.srs_period_slots
         self.rngs = [np.random.default_rng(seed)]
-        self.buffers = {"out": self.cell.trajectory, "noise": self.cell.fading_noise}
+        # a source tree from before the step buffers keeps the fading
+        # buffers on the cell itself
+        buf = getattr(self.cell, "buffers", None)
+        self.buffers = (
+            {"out": self.cell.trajectory, "noise": self.cell.fading_noise} if buf is None
+            else {"out": buf.trajectory, "noise": buf.noise}
+        )
         traj = link.evolve_fading(
             self.fading, cfg.cell.fading_rho, self.rngs, n_slots, **self.buffers
         )
@@ -129,7 +135,6 @@ class Case:
             p_cp, self.cell.path_loss_db, link.sounding_gain(traj[::period]), n0
         ).ravel()
         self.bandwidth = cfg.cell.noise().bandwidth_hz
-        buf = getattr(self.cell, "buffers", None)
         self.amc_buffers = {} if buf is None else {
             "out": (buf.budget, buf.outage), "index": (buf.counts, buf.table_index)
         }

@@ -234,14 +234,6 @@ class Cell:
     def __len__(self) -> int:
         return len(self.distance_m)
 
-    @property
-    def fading_noise(self) -> np.ndarray:
-        return self.buffers.noise
-
-    @property
-    def trajectory(self) -> np.ndarray:
-        return self.buffers.trajectory
-
     def lane(self, lane: int) -> slice:
         """The entries of lane ``lane``'s terminals."""
         n = len(self) // self.lanes
@@ -358,7 +350,7 @@ def simulate_step(
     buf = cell.buffers
     traj = evolve_fading(
         fading, cell_cfg.fading_rho, [s.fading for s in streams], n_slots,
-        out=cell.trajectory, noise=cell.fading_noise,
+        out=buf.trajectory, noise=buf.noise,
     )
     gamma = buf.gamma
     sounding_gain(traj[::period], out=gamma, scratch=buf.sounding)
@@ -694,25 +686,13 @@ def _in_threads(run, groups: list[range]) -> list:
     and a worker thread each of the others (the fading draws, the largest
     part of a wide step, release the GIL). With one group or one core no
     thread starts; none outlives the call, whether it returns or raises."""
-    from .waveform import _usable_cores
+    # through the module, so that a count set on waveform._usable_cores holds
+    from . import waveform
 
-    n = min(_usable_cores(), len(groups))
+    n = min(waveform._usable_cores(), len(groups))
     bounds = [len(groups) * i // n for i in range(n + 1)]
-
-    def fill(i: int) -> list:
-        return [run(group) for group in groups[bounds[i] : bounds[i + 1]]]
-
-    if n == 1:
-        return fill(0)
-    from concurrent.futures import ThreadPoolExecutor
-
-    # leaving the block joins every worker, also when a run raises
-    with ThreadPoolExecutor(n - 1) as pool:
-        others = [pool.submit(fill, i) for i in range(1, n)]
-        results = fill(0)
-        for done in others:
-            results += done.result()
-    return results
+    runs = waveform._fan_out(lambda i: list(map(run, groups[bounds[i] : bounds[i + 1]])), n)
+    return [result for results in runs for result in results]
 
 
 def _run_policy(

@@ -14,30 +14,15 @@ Conventions used throughout:
   in PAPR statistics.
 - Both generators take data blocks along the last axis: ``d`` of shape
   ``(..., n)`` gives one symbol per leading index, equal sample for sample
-  to generating each row on its own. The PAPR ensemble uses this to
-  transform chunks of :data:`PAPR_CHUNK_BLOCKS` symbols at a time.
+  to generating each row on its own.
 - :func:`measure_papr` and :func:`papr_ensemble` take one percentile or a
   sequence of them; a sequence shares one power, mean and quantile pass
   over the signal.
-- The ensemble holds no ensemble-sized array. Each chunk's envelope power
-  is reduced as it is made: into the sums of the nodes of numpy's
-  pairwise-sum tree that lie inside the chunk, which rebuild the mean bit
-  for bit, and into the chunk's upper tail, ``1.5 (1 - q)`` of its samples
-  for a lowest level q, whose largest cut bounds every dropped sample.
-  When the kept tails cannot prove the lowest order statistic, the
-  ensemble is drawn again keeping every sample. At q = 0.9 it holds 0.15
-  of the old power buffer per waveform. Several waveforms can share one
-  symbol draw, each with a result equal to a call of its own.
 - Symbol indices are read from the generator's raw 64-bit words: each
   index is the top two bits of one 32-bit half, low half first, which is
   what ``Generator.integers(0, 4)`` draws (4 divides 2**32, so its bounded
   draw never rejects). The draw takes a PCG64 or PCG64DXSM generator, and
   leaves it in the state ``integers`` would, its buffered half included.
-- Every block's symbols therefore sit at a known place in the stream, and
-  PCG64 can jump there. :func:`papr_ensemble` fills contiguous block
-  ranges on up to four threads, one per usable core, each from a copy of
-  the generator advanced to its first block. The result does not depend on
-  the number of ranges.
 """
 
 from __future__ import annotations
@@ -243,12 +228,6 @@ def _order_statistics(x: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return x[ranks]
 
 
-def _inverted_cdf_quantile(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``np.quantile(x, levels, method="inverted_cdf")`` of the finite 1-D
-    ``x``, in the shape of ``levels``; partitions ``x`` in place."""
-    return _order_statistics(x, _ranks(x.size, levels))
-
-
 def _checked_mean(mean: np.float64) -> np.float64:
     """The mean envelope power, refused when no PAPR follows from it."""
     # power is non-negative, so a NaN or infinite sample makes the mean
@@ -268,16 +247,6 @@ def _db(peaks: np.ndarray, mean: np.float64, levels: np.ndarray) -> float | list
     return [float(10.0 * np.log10(peak / mean)) for peak in peaks]
 
 
-def _papr_db(power: np.ndarray, levels: np.ndarray) -> float | list[float]:
-    """PAPR in dB of the 1-D envelope power ``power`` at ``levels`` (see
-    :func:`measure_papr`). Partitions ``power`` in place: its mean is taken
-    first, and a copy would double the memory of the largest array here."""
-    if power.size == 0:
-        raise ValueError("empty signal")
-    mean = _checked_mean(power.mean())
-    return _db(_inverted_cdf_quantile(power, levels), mean, levels)
-
-
 def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
     """Peak-to-average power ratio in dB at the given envelope percentile.
 
@@ -294,7 +263,12 @@ def measure_papr(signal: np.ndarray, percentile) -> float | list[float]:
     levels = _levels(percentile)
     power = np.abs(np.asarray(signal, dtype=complex).reshape(-1))
     np.square(power, out=power)
-    return _papr_db(power, levels)
+    if power.size == 0:
+        raise ValueError("empty signal")
+    # the mean before the selection, which reorders the power in place (a
+    # copy would double the largest array here)
+    mean = _checked_mean(power.mean())
+    return _db(_order_statistics(power, _ranks(power.size, levels)), mean, levels)
 
 
 # each modulation's symbol draw, and the integers(0, 4) draws it takes per
@@ -348,43 +322,26 @@ def _signal(waveform: str, d: np.ndarray, grid: OfdmGrid) -> np.ndarray:
     return generate_dft_s_ofdm(d, grid)
 
 
-def papr_ensemble_signal(
-    waveform: str,
-    modulation: str,
-    n_blocks: int,
-    rng: np.random.Generator,
-    n_subcarriers: int = 256,
-    n_data: int = 240,
-    oversample: int = 1,
-    chunk_blocks: int = PAPR_CHUNK_BLOCKS,
-) -> Iterator[np.ndarray]:
-    """Time signals of ``n_blocks`` independent symbols of one waveform, for
-    ensemble PAPR statistics, yielded in chunks: ``(rows, N)`` arrays of at
-    most ``chunk_blocks`` symbols each.
-
-    Oversampling is realised by enlarging the IDFT while keeping the
-    occupied band fixed, i.e. frequency-domain zero padding. Critical
-    sampling (the default) understates the analog envelope somewhat.
-
-    The chunks, concatenated, and the final state of ``rng`` equal those of
-    drawing and transforming one block after the other. An unknown waveform
-    or modulation, fewer than one block, or a generator other than PCG64 or
-    PCG64DXSM is refused at the first chunk, before anything is drawn, and
-    so is a ``chunk_blocks`` below 1.
-    """
-    grid = _ensemble_grid((waveform,), modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
-    if chunk_blocks < 1:
-        raise ValueError(f"need at least one block per chunk, got {chunk_blocks}")
-    for d in _symbol_chunks(modulation, n_blocks, rng, n_data, chunk_blocks):
-        yield _signal(waveform, d, grid)
-
-
 def _usable_cores() -> int:
     """The number of cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _fan_out(fill, n: int) -> list:
+    """``[fill(0), ..., fill(n - 1)]``: ``fill(0)`` runs on this thread and
+    each other call on a worker thread of its own. With ``n`` of 1 no thread
+    starts; every worker has joined when this returns or raises."""
+    if n == 1:
+        return [fill(0)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block joins every worker, also when a call raises
+    with ThreadPoolExecutor(n - 1) as pool:
+        others = [pool.submit(fill, i) for i in range(1, n)]
+        return [fill(0)] + [done.result() for done in others]
 
 
 def _generator_at(rng: np.random.Generator, draws: int) -> np.random.Generator:
@@ -483,8 +440,20 @@ class _ChunkPlan:
 
 class _EnvelopeStream:
     """One waveform's envelope power, reduced chunk by chunk as the chunks
-    arrive, in any order: the node sums of its exact mean, and the upper
-    tail of each chunk as candidates for its order statistics."""
+    arrive, in any order, so that no stream-sized array is held.
+
+    - The mean: each chunk sums the pairwise-tree nodes inside it, and
+      copies aside the pieces of the leaves its edges cut, which are summed
+      once complete. The node sums, added in tree order, give the bits of
+      ``mean`` over the joined power.
+    - The tail: each chunk keeps its top ``keep`` samples as candidates,
+      found by one partition, and its cut, the smallest sample kept. At a
+      keep fraction of ``1.5 (1 - q)``, q the lowest level, the candidates
+      are 0.15 of the samples at q = 0.9. :meth:`order_statistics` says
+      whether they prove the ranks asked for; where they do not, only when
+      the chunks' power levels differ widely, :func:`papr_ensemble` draws
+      again keeping every sample.
+    """
 
     def __init__(self, plan: _ChunkPlan):
         self.plan = plan
@@ -543,8 +512,16 @@ def _stream_ensemble(
     grid: OfdmGrid,
     keep_fraction: float,
 ) -> list[_EnvelopeStream]:
-    """Draw the ensemble in block ranges and reduce each waveform's chunks
-    into an :class:`_EnvelopeStream`; see :func:`papr_ensemble`."""
+    """Draw the ensemble and reduce each waveform's chunks into an
+    :class:`_EnvelopeStream` that keeps ``keep_fraction`` of each chunk.
+
+    The blocks split into W contiguous ranges, W the smallest of the usable
+    cores, the ensemble's :data:`PAPR_CHUNK_BLOCKS` chunks and 4. Every
+    block's symbols sit at a known place in ``rng``'s stream, so each range
+    draws from a copy of ``rng`` advanced to its first block (range 0 from
+    ``rng`` itself), in chunks of ``PAPR_CHUNK_BLOCKS // W`` blocks: at most
+    ``PAPR_CHUNK_BLOCKS`` blocks are in flight. ``rng`` ends where the last
+    range's copy does, as a serial draw leaves it."""
     width, n_data = grid.n_subcarriers, grid.dft_size
     chunks = -(-n_blocks // PAPR_CHUNK_BLOCKS)
     # at most 4 ranges, so that a range's chunks keep at least 64 blocks
@@ -574,17 +551,8 @@ def _stream_ensemble(
                 stream.add(j, chunk)
             j += 1
 
-    if n_ranges == 1:
-        fill(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(n_ranges - 1) as pool:
-            others = [pool.submit(fill, i) for i in range(1, n_ranges)]
-            fill(0)
-            for done in others:
-                done.result()
-        rng.bit_generator.state = rngs[-1].bit_generator.state
+    _fan_out(fill, n_ranges)
+    rng.bit_generator.state = rngs[-1].bit_generator.state
     return streams
 
 
@@ -612,45 +580,27 @@ def papr_ensemble(
     n_data: int = 240,
     oversample: int = 1,
 ) -> float | list:
-    """Ensemble PAPR of :func:`papr_ensemble_signal` at one level or a
-    sequence of levels, as :func:`measure_papr` gives it.
+    """PAPR of an ensemble of ``n_blocks`` independent symbols of
+    ``n_data`` data symbols each, at one level or a sequence of levels.
+
+    The result equals :func:`measure_papr` of the symbols' signals laid end
+    to end, bit for bit, as if each block were drawn and transformed one
+    after the other, and ``rng`` ends as that serial draw leaves it.
+    Oversampling enlarges the IDFT while the occupied band stays fixed
+    (frequency-domain zero padding); critical sampling, the default,
+    understates the analog envelope somewhat.
 
     ``waveform`` is one waveform, or a sequence of them that share one
     symbol draw; a sequence gives a list of results, one per waveform in
     that order, each equal to the single-waveform call from the same
-    generator state. ``rng`` ends as one such call leaves it.
+    generator state.
 
-    The result equals ``measure_papr`` of the concatenated chunks bit for
-    bit, yet no ensemble-sized array is held. Each chunk is reduced to its
-    envelope power as it comes, into two results per waveform:
-
-    - The mean: numpy's pairwise sum over the whole power splits at places
-      that depend only on its length. The chunk sums each tree node that
-      lies inside it; a leaf of at most 128 samples that a chunk edge cuts
-      is copied aside and summed once complete. The node sums, added in
-      tree order, give the mean's exact bits.
-    - The tail: the chunk keeps its top ``ceil(1.5 (1 - q) n)`` samples
-      (q the lowest level, n the chunk's samples) as candidates, found by
-      one partition, and the smallest kept value as its cut. If at least as
-      many candidates reach the largest cut as there are samples at or
-      above the lowest rank, the order statistics are the candidates' ones,
-      shifted by the number dropped. Otherwise the ensemble is drawn again
-      from ``rng``'s starting state, keeping every sample, with the same
-      result; only chunks whose power levels differ widely lead there.
-
-    So the memory is about ``1.5 (1 - q)`` of an envelope-power buffer per
-    waveform (0.15 of 8 bytes a sample at q = 0.9), plus a chunk buffer per
-    block range.
-
-    The blocks are split into W contiguous ranges, W the smallest of the
-    usable cores, the ensemble's :data:`PAPR_CHUNK_BLOCKS` chunks and 4.
-    Range 0 draws from ``rng`` on the calling thread, each other range on a
-    thread of its own from a copy of ``rng`` advanced to the range's first
-    symbol draw; each reduces its chunks of ``PAPR_CHUNK_BLOCKS // W``
-    blocks, so at most ``PAPR_CHUNK_BLOCKS`` blocks are in flight. ``rng``
-    ends where the serial draw leaves it, and the result does not depend on
-    W. Arguments are checked, as in :func:`papr_ensemble_signal`, before
-    any draw or thread starts.
+    No ensemble-sized array is held: about ``1.5 (1 - q)`` of the envelope
+    power per waveform, q the lowest level, plus a chunk buffer per block
+    range. The blocks are filled on up to four threads, one per usable
+    core, and the result does not depend on their number. An unknown
+    waveform or modulation, fewer than one block or a generator other than
+    PCG64 or PCG64DXSM is refused before any draw or thread starts.
     """
     levels = _levels(percentile)
     waveforms = (waveform,) if isinstance(waveform, str) else tuple(waveform)
@@ -659,7 +609,7 @@ def papr_ensemble(
     start = rng.bit_generator.state
     keep = min(1.0, _TAIL_MARGIN * (1.0 - float(levels.min())))
     paprs = _stream_paprs(_stream_ensemble(*args, keep), levels)
-    if paprs is None:
+    if paprs is None:  # draw again, keeping every sample
         rng.bit_generator.state = start
         paprs = _stream_paprs(_stream_ensemble(*args, 1.0), levels)
     return paprs[0] if isinstance(waveform, str) else paprs

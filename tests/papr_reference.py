@@ -1,4 +1,4 @@
-"""Block-by-block reference of ``waveform.papr_ensemble_signal``, kept as a
+"""Block-by-block reference of the signal of ``waveform.papr_ensemble``, kept as a
 test oracle the way ``step_reference.py`` serves the step kernel.
 
 It draws the symbols of one block at a time, 16-QAM real parts before

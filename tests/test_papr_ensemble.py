@@ -1,12 +1,15 @@
 """The chunked PAPR ensemble against its block-by-block oracle, from the
 chunk signals up to the ``dpwsim papr`` table, at every number of block
-ranges; the raw-word symbol draws against ``Generator.integers``; the block
-axis of both generators, the percentile sequence of ``measure_papr``, and its
-quantile selection against numpy's."""
+ranges; the thread fan-out the ranges and the lane groups share; the
+raw-word symbol draws against ``Generator.integers``; the block axis of both
+generators, the percentile sequence of ``measure_papr``, and its quantile
+selection against numpy's."""
 
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,13 +25,16 @@ from dpwsim.waveform import (
     OfdmGrid,
     _ChunkPlan,
     _EnvelopeStream,
-    _inverted_cdf_quantile,
+    _ensemble_grid,
+    _fan_out,
+    _order_statistics,
     _ranks,
+    _signal,
+    _symbol_chunks,
     generate_cp_ofdm,
     generate_dft_s_ofdm,
     measure_papr,
     papr_ensemble,
-    papr_ensemble_signal,
     qam16_symbols,
     qpsk_symbols,
 )
@@ -51,9 +57,13 @@ def ranges(monkeypatch):
     return use
 
 
-def _joined(chunks):
-    """The chunk signals laid end to end, as the oracle returns them."""
-    chunks = list(chunks)
+def _chunk_signals(waveform, modulation, n_blocks, rng, n_subcarriers=256, n_data=240,
+                   oversample=1):
+    """The ensemble's signals laid end to end, made chunk by chunk as one
+    block range of ``papr_ensemble`` makes them."""
+    grid = _ensemble_grid((waveform,), modulation, n_blocks, rng, n_subcarriers, n_data, oversample)
+    chunks = [_signal(waveform, d, grid)
+              for d in _symbol_chunks(modulation, n_blocks, rng, n_data, chunk_blocks=C)]
     assert all(0 < len(chunk) <= C for chunk in chunks)
     return np.concatenate(chunks).reshape(-1)
 
@@ -61,7 +71,7 @@ def _joined(chunks):
 def _assert_same_ensemble(waveform, modulation, n_blocks, **kw):
     rng_ref, rng = _seeded(4001), _seeded(4001)
     ref = reference_ensemble_signal(waveform, modulation, n_blocks, rng_ref, **kw)
-    sig = _joined(papr_ensemble_signal(waveform, modulation, n_blocks, rng, **kw))
+    sig = _chunk_signals(waveform, modulation, n_blocks, rng, **kw)
     assert sig.dtype == ref.dtype and sig.shape == ref.shape
     assert sig.tobytes() == ref.tobytes()
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -347,7 +357,7 @@ def test_two_stage_selection_equals_numpy_inverted_cdf(sample):
     # the CLI oracle shares this selection, so only numpy can catch a rank slip
     x, levels = sample
     want = np.quantile(x, levels, method="inverted_cdf")
-    got = _inverted_cdf_quantile(x.copy(), levels)
+    got = _order_statistics(x.copy(), _ranks(x.size, levels))
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -369,8 +379,6 @@ def test_cli_table_equals_the_oracle_table(tmp_path):
 
 def test_unknown_waveform_rejected():
     with pytest.raises(ValueError):
-        next(papr_ensemble_signal("ofdma", "qpsk", 4, _seeded(1)))
-    with pytest.raises(ValueError):
         papr_ensemble("ofdma", "qpsk", 4, 0.9, _seeded(1))
 
 
@@ -384,16 +392,8 @@ def test_bad_ensemble_rejected_before_any_draw(waveform, modulation, n_blocks):
     rng = _seeded(1)
     state = rng.bit_generator.state
     with pytest.raises(ValueError):
-        next(papr_ensemble_signal(waveform, modulation, n_blocks, rng))
-    with pytest.raises(ValueError):
         papr_ensemble(waveform, modulation, n_blocks, 0.9, rng)
     assert rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("chunk_blocks", [0, -1])
-def test_empty_chunks_rejected(chunk_blocks):
-    with pytest.raises(ValueError):
-        next(papr_ensemble_signal("cp-ofdm", "qpsk", 4, _seeded(1), chunk_blocks=chunk_blocks))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
@@ -403,8 +403,6 @@ def test_other_bit_generators_rejected_before_any_draw(bit_generator):
     rng, twin = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
     with pytest.raises(TypeError):
         papr_ensemble("cp-ofdm", "qpsk", 600, 0.9, rng)
-    with pytest.raises(TypeError):
-        next(papr_ensemble_signal("cp-ofdm", "qpsk", 4, rng))
     for draw in (qpsk_symbols, qam16_symbols):
         with pytest.raises(TypeError):
             draw(8, rng)
@@ -488,6 +486,68 @@ def test_ensemble_uses_one_range_per_usable_core_up_to_four(ranges, monkeypatch)
         assert chunk_sizes == [C // want] * want
 
 
+def test_a_failing_range_joins_every_thread(ranges, monkeypatch):
+    # a chunk that fails on a worker thread ends the ensemble with its
+    # error, once the other three ranges' threads have joined
+    ranges(4)
+    here, signal = threading.get_ident(), waveform_module._signal
+
+    def failing(*args):
+        if threading.get_ident() != here:
+            raise FloatingPointError("chunk failed")
+        return signal(*args)
+
+    monkeypatch.setattr(waveform_module, "_signal", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        papr_ensemble("cp-ofdm", "qpsk", 4 * C, 0.9, _seeded(1), n_subcarriers=64, n_data=8)
+    assert threading.active_count() == before
+
+
+def test_fan_out_returns_the_parts_in_index_order():
+    # later parts finish first, and each but the first runs on a worker
+    def fill(i):
+        time.sleep(0.02 * (4 - i))
+        return i, threading.get_ident()
+
+    parts = _fan_out(fill, 4)
+    assert [i for i, _ in parts] == [0, 1, 2, 3]
+    here = threading.get_ident()
+    assert parts[0][1] == here and all(ident != here for _, ident in parts[1:])
+
+
+def test_fan_out_raises_only_once_every_worker_has_joined():
+    failed, finished = threading.Event(), []
+
+    def fill(i):
+        if i == 1:
+            failed.set()
+            raise FloatingPointError("part 1 failed")
+        if i == 2:  # still running when part 1 fails
+            assert failed.wait(10)
+            time.sleep(0.05)
+            finished.append(i)
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="part 1 failed"):
+        _fan_out(fill, 3)
+    assert finished == [2]
+    assert threading.active_count() == before
+
+
+def test_fan_out_of_one_part_starts_no_thread(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    assert _fan_out(lambda i: (i, threading.get_ident()), 1) == [(0, threading.get_ident())]
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize(
     "draw, ref", [(qpsk_symbols, reference_qpsk), (qam16_symbols, reference_qam16)]
 )
@@ -521,7 +581,7 @@ def test_batched_dft_s_ofdm_equals_row_by_row():
 
 
 def test_percentile_sequence_equals_single_calls():
-    sig = _joined(papr_ensemble_signal("cp-ofdm", "16qam", 300, _seeded(1000)))
+    sig = _chunk_signals("cp-ofdm", "16qam", 300, _seeded(1000))
     levels = (0.90, 0.99, 0.999)
     together = measure_papr(sig, levels)
     assert together == [measure_papr(sig, p) for p in levels]

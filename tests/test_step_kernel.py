@@ -44,16 +44,16 @@ class KernelCell:
         self.cell = cell
 
     def step(self, fading, zeta, xi, cfg, streams, *, episode, **kwargs):
-        cell = self.cell
-        kept = cell.trajectory, cell.fading_noise
+        cell, buf = self.cell, self.cell.buffers
+        kept = buf.trajectory, buf.noise
         [report], fading = simulate_step(
             cell, fading, [zeta], [xi], cfg, [streams], episode=[episode], **kwargs
         )
         # every step evolves its trajectory in the cell's kept buffers and
         # returns a copy of the last state, not a view into them
-        assert cell.trajectory is kept[0] and cell.fading_noise is kept[1]
-        np.testing.assert_array_equal(fading, cell.trajectory[-1])
-        assert not np.shares_memory(fading, cell.trajectory)
+        assert cell.buffers is buf and buf.trajectory is kept[0] and buf.noise is kept[1]
+        np.testing.assert_array_equal(fading, buf.trajectory[-1])
+        assert not np.shares_memory(fading, buf.trajectory)
         return report, fading
 
     def terminals(self):
@@ -431,4 +431,3 @@ def test_paper_step_reuses_the_cells_buffers():
     assert {name: value.ctypes.data for name, value in buffers.items()} == addresses
     assert all(value is getattr(cell.buffers, name) for name, value in buffers.items()
                if "." not in name)
-    assert cell.trajectory is cell.buffers.trajectory and cell.fading_noise is cell.buffers.noise
